@@ -53,22 +53,6 @@ fn bench_frame_success(c: &mut Criterion) {
     });
 }
 
-#[cfg(feature = "fast-channel")]
-fn bench_frame_success_lut(c: &mut Criterion) {
-    use cyclops::link::channel::fast::ChannelLut;
-    let ch = FsoChannel::new(-25.0, -18.0);
-    let lut = ChannelLut::new(ch, 81_920);
-    c.bench_function("channel: LUT frame_success (8-power sweep)", |b| {
-        b.iter(|| {
-            let mut acc = 0.0;
-            for &p in &POWERS {
-                acc += lut.frame_success_prob(black_box(p));
-            }
-            acc
-        })
-    });
-}
-
 /// One full engine slot: galvo trace, capture fraction, channel math, SFP
 /// state machine, goodput accounting — the serial cost every session pays
 /// per millisecond of simulated time.
@@ -90,16 +74,6 @@ fn bench_engine_slot(c: &mut Criterion) {
     });
 }
 
-#[cfg(feature = "fast-channel")]
-criterion_group!(
-    benches,
-    bench_q_factor,
-    bench_ber,
-    bench_frame_success,
-    bench_frame_success_lut,
-    bench_engine_slot
-);
-#[cfg(not(feature = "fast-channel"))]
 criterion_group!(
     benches,
     bench_q_factor,

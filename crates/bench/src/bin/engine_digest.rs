@@ -18,6 +18,7 @@
 //! cargo run --release -p cyclops-bench --bin engine_digest -- --write # regen golden
 //! ```
 
+use cyclops::link::engine::{DarkDebounce, SingleTx};
 use cyclops::link::handover::{HandoverSystem, Occluder, TxUnit};
 use cyclops::link::trace_sim::{simulate_corpus, simulate_trace, TraceSimParams};
 use cyclops::prelude::*;
@@ -42,7 +43,7 @@ impl Digest {
     fn bool(&mut self, b: bool) {
         self.u64(b as u64);
     }
-    fn slots(&mut self, recs: &[SlotRecord]) {
+    fn slots(&mut self, recs: &[EngineSlot]) {
         for r in recs {
             self.f64(r.t);
             self.f64(r.power_dbm);
@@ -73,6 +74,34 @@ impl Digest {
         self.f64(s.outage_s);
         self.f64(s.longest_outage_s);
     }
+}
+
+/// Digest of a single-TX session run for `dur_s`: every slot record, then
+/// the session's fault-handling counters.
+fn session_digest<M: Motion>(builder: SessionBuilder<M, SingleTx>, dur_s: f64) -> Digest {
+    let mut session = builder.build().expect("valid engine config");
+    let recs = session.run(dur_s);
+    let mut d = Digest::new();
+    d.slots(&recs);
+    d.session_stats(&session.session_stats());
+    d
+}
+
+/// The `link_chaos` workload — the hardened control plane (ARQ + dead
+/// reckoning + re-acquisition) under the stress fault plan, hand-held
+/// motion, 3 s — with `modify` applied to its session builder. The golden
+/// line passes the builder through unchanged; the identity guards attach
+/// observers or opt-outs that must not move a bit.
+fn chaos_digest(
+    modify: impl FnOnce(
+        SessionBuilder<ArbitraryMotion, SingleTx>,
+    ) -> SessionBuilder<ArbitraryMotion, SingleTx>,
+) -> u64 {
+    let mut sys = CyclopsSystem::commission(&SystemConfig::fast_10g(9_007));
+    sys.control = Some(ControlPlaneConfig::hardened(FaultPlan::stress(17)));
+    let base = Pose::translation(Vec3::new(0.0, 0.0, 1.75));
+    let motion = ArbitraryMotion::new(base, ArbitraryMotionConfig::default(), 613);
+    session_digest(modify(sys.into_session_builder(motion)), 3.0).0
 }
 
 /// Two fully-trained ceiling installations sharing one headset world (the
@@ -124,65 +153,27 @@ fn main() {
     // --- Single-TX: legacy path (i.i.d. report loss from the deployment
     // RNG, no control plane), with tracker drift.
     {
-        let sys = CyclopsSystem::commission(&SystemConfig::fast_10g(9_007));
-        let mut cfg = LinkSimConfig {
-            tracker: sys.tracker,
-            ..Default::default()
-        };
-        cfg.tracker.report_loss_prob = 0.3;
-        cfg.tracker.drift_sigma_per_sqrt_s = 1e-3;
+        let mut sys = CyclopsSystem::commission(&SystemConfig::fast_10g(9_007));
+        sys.tracker.report_loss_prob = 0.3;
+        sys.tracker.drift_sigma_per_sqrt_s = 1e-3;
         let base = Pose::translation(Vec3::new(0.0, 0.0, 1.75));
         let motion = ArbitraryMotion::new(base, ArbitraryMotionConfig::default(), 611);
-        let mut sim = LinkSimulator::new(sys.dep, sys.ctl, motion, cfg);
-        let recs = sim.run(3.0);
-        let mut d = Digest::new();
-        d.slots(&recs);
-        d.session_stats(&sim.session_stats());
-        emit("link_legacy", d);
+        emit(
+            "link_legacy",
+            session_digest(sys.into_session_builder(motion), 3.0),
+        );
     }
 
     // --- Single-TX: chaos control plane (ARQ + DR + re-acquisition under
     // the stress fault plan), hand-held motion.
     {
-        let mut sys = CyclopsSystem::commission(&SystemConfig::fast_10g(9_007));
-        sys.control = Some(ControlPlaneConfig::hardened(FaultPlan::stress(17)));
-        let base = Pose::translation(Vec3::new(0.0, 0.0, 1.75));
-        let motion = ArbitraryMotion::new(base, ArbitraryMotionConfig::default(), 613);
-        let mut sim = sys.into_simulator(motion);
-        let recs = sim.run(3.0);
-        let mut d = Digest::new();
-        d.slots(&recs);
-        d.session_stats(&sim.session_stats());
-        let chaos_digest = d.0;
-        emit("link_chaos", d);
+        let chaos = chaos_digest(|b| b);
+        emit("link_chaos", Digest(chaos));
 
         // Telemetry-identity guard (not a golden line): the same workload
-        // through the builder API must reproduce the facade digest exactly,
-        // with telemetry disabled, with counters, and with a JSONL sink —
-        // attaching observers must not move a single bit.
-        let engine_digest = |tele: Telemetry| -> u64 {
-            let mut sys = CyclopsSystem::commission(&SystemConfig::fast_10g(9_007));
-            sys.control = Some(ControlPlaneConfig::hardened(FaultPlan::stress(17)));
-            let base = Pose::translation(Vec3::new(0.0, 0.0, 1.75));
-            let motion = ArbitraryMotion::new(base, ArbitraryMotionConfig::default(), 613);
-            let mut session = sys
-                .into_session_builder(motion)
-                .telemetry(tele)
-                .build()
-                .expect("valid engine config");
-            let recs = session.run(3.0);
-            let mut d = Digest::new();
-            for r in &recs {
-                d.f64(r.t);
-                d.f64(r.power_dbm);
-                d.bool(r.link_up);
-                d.f64(r.goodput_gbps);
-                d.f64(r.lin_speed);
-                d.f64(r.ang_speed);
-            }
-            d.session_stats(&session.session_stats());
-            d.0
-        };
+        // with telemetry disabled, with counters, and with a JSONL sink must
+        // reproduce the digest exactly — attaching observers must not move
+        // a single bit.
         let jsonl_path = std::env::temp_dir().join("cyclops_engine_digest_tele.jsonl");
         for (name, tele) in [
             ("off", Telemetry::off()),
@@ -194,9 +185,9 @@ fn main() {
                 )),
             ),
         ] {
-            let got = engine_digest(tele);
             assert_eq!(
-                got, chaos_digest,
+                chaos_digest(|b| b.telemetry(tele)),
+                chaos,
                 "telemetry config `{name}` perturbed the link_chaos digest"
             );
         }
@@ -204,36 +195,13 @@ fn main() {
         println!("link_chaos: telemetry identity holds (off/counters/jsonl)");
 
         // Fallback-identity guard (not a golden line): with
-        // `FallbackPolicy::Off` — whether defaulted or set explicitly —
-        // the hybrid-link machinery must be fully skipped and the digest
-        // must not move a bit. (`RfOnOutage` is covered by its own tests;
-        // here we pin that *opting out* is free.)
-        let fallback_digest = |fallback: FallbackPolicy| -> u64 {
-            let mut sys = CyclopsSystem::commission(&SystemConfig::fast_10g(9_007));
-            sys.control = Some(ControlPlaneConfig::hardened(FaultPlan::stress(17)));
-            let base = Pose::translation(Vec3::new(0.0, 0.0, 1.75));
-            let motion = ArbitraryMotion::new(base, ArbitraryMotionConfig::default(), 613);
-            let mut session = sys
-                .into_session_builder(motion)
-                .fallback(fallback)
-                .build()
-                .expect("valid engine config");
-            let recs = session.run(3.0);
-            let mut d = Digest::new();
-            for r in &recs {
-                d.f64(r.t);
-                d.f64(r.power_dbm);
-                d.bool(r.link_up);
-                d.f64(r.goodput_gbps);
-                d.f64(r.lin_speed);
-                d.f64(r.ang_speed);
-            }
-            d.session_stats(&session.session_stats());
-            d.0
-        };
+        // `FallbackPolicy::Off` set explicitly the hybrid-link machinery
+        // must be fully skipped and the digest must not move a bit.
+        // (`RfOnOutage` is covered by its own tests; here we pin that
+        // *opting out* is free.)
         assert_eq!(
-            fallback_digest(FallbackPolicy::Off),
-            chaos_digest,
+            chaos_digest(|b| b.fallback(FallbackPolicy::Off)),
+            chaos,
             "explicit FallbackPolicy::Off perturbed the link_chaos digest"
         );
         println!("link_chaos: fallback-off identity holds");
@@ -243,40 +211,15 @@ fn main() {
         // nothing (density-0 fog), must leave the digest bit-identical —
         // opting out of weather is free, per the registry/environment
         // determinism contract.
-        let env_digest = |env: Environment| -> u64 {
-            let mut sys = CyclopsSystem::commission(&SystemConfig::fast_10g(9_007));
-            sys.control = Some(ControlPlaneConfig::hardened(FaultPlan::stress(17)));
-            let base = Pose::translation(Vec3::new(0.0, 0.0, 1.75));
-            let motion = ArbitraryMotion::new(base, ArbitraryMotionConfig::default(), 613);
-            let mut session = sys
-                .into_session_builder(motion)
-                .environment(env)
-                .build()
-                .expect("valid engine config");
-            let recs = session.run(3.0);
-            let mut d = Digest::new();
-            for r in &recs {
-                d.f64(r.t);
-                d.f64(r.power_dbm);
-                d.bool(r.link_up);
-                d.f64(r.goodput_gbps);
-                d.f64(r.lin_speed);
-                d.f64(r.ang_speed);
-            }
-            d.session_stats(&session.session_stats());
-            d.0
-        };
         assert_eq!(
-            env_digest(Environment::new()),
-            chaos_digest,
+            chaos_digest(|b| b.environment(Environment::new())),
+            chaos,
             "empty Environment perturbed the link_chaos digest"
         );
+        let fog0 = FogStage::from_density(0.0, 1550.0).expect("valid density");
         assert_eq!(
-            env_digest(
-                Environment::new()
-                    .stage(FogStage::from_density(0.0, 1550.0).expect("valid density"))
-            ),
-            chaos_digest,
+            chaos_digest(|b| b.environment(Environment::new().stage(fog0))),
+            chaos,
             "density-0 fog perturbed the link_chaos digest"
         );
         println!("link_chaos: environment-off identity holds");
@@ -289,17 +232,10 @@ fn main() {
         let mut rail = LinearRail::paper_protocol(base, Vec3::X);
         rail.v0 = 1.0;
         rail.dv = 0.0;
-        let cfg = LinkSimConfig {
-            tracker: sys.tracker,
-            pause_on_outage: true,
-            ..Default::default()
-        };
-        let mut sim = LinkSimulator::new(sys.dep, sys.ctl, rail, cfg);
-        let recs = sim.run(4.0);
-        let mut d = Digest::new();
-        d.slots(&recs);
-        d.session_stats(&sim.session_stats());
-        emit("link_pause", d);
+        emit(
+            "link_pause",
+            session_digest(sys.into_session_builder(rail).pause_on_outage(true), 4.0),
+        );
     }
 
     // --- Multi-TX full-physics handover under a parked occluder.
@@ -310,7 +246,14 @@ fn main() {
         let mid = tx0.lerp(rx, 0.5);
         let occ = Occluder::new(mid, 0.12, 0.4, 1);
         let motion = StaticPose(Pose::translation(rx));
-        let mut sim = MultiTxSimulator::new(units, motion, vec![occ]);
+        let mut sim = LinkSession::builder(motion)
+            .units(units)
+            .occluder(occ)
+            .selector(DarkDebounce::new(0.03))
+            .config(EngineConfig::multi_tx(TrackerConfig::default()))
+            .first_report(FirstReport::AtZero)
+            .build()
+            .expect("valid multi-TX config");
         let recs = sim.run(4.0);
         let mut d = Digest::new();
         for r in &recs {

@@ -1,6 +1,6 @@
 //! **Extension: multi-TX occlusion coverage (§3/§6)** — quantifies the
 //! paper's deployment argument that "multiple Cyclops TXs can be installed
-//! to cover occlusions", on the full-physics [`MultiTxSimulator`] (trained
+//! to cover occlusions", on the full-physics multi-TX [`LinkSession`] (trained
 //! TP per unit, real optics, real SFP re-lock).
 //!
 //! Two occlusion scenarios, swept over the number of installed units:
@@ -21,9 +21,8 @@ use cyclops::core::kspace::{train_both, BoardConfig};
 use cyclops::core::mapping::{self, rough_initial_guess};
 use cyclops::core::tp::{TpConfig, TpController};
 use cyclops::geom::vec3::v3;
-use cyclops::link::engine::TxInstallation;
+use cyclops::link::engine::{DarkDebounce, TxInstallation};
 use cyclops::link::handover::Occluder;
-use cyclops::link::multi_tx::{MultiTxSimulator, MultiTxSlot};
 use cyclops::prelude::*;
 use cyclops::vrh::motion::{ArbitraryMotion, ArbitraryMotionConfig};
 use cyclops_bench::{row, section};
@@ -55,13 +54,13 @@ fn commission_unit(pos: Vec3, seed: u64) -> TxInstallation {
     TxInstallation { dep, ctl }
 }
 
-/// Runs the simulator while moving occluder 0 along a scripted trajectory
+/// Runs the session while moving occluder 0 along a scripted trajectory
 /// (a person walking is deterministic at this scale, not a diffusion).
 fn run_with_trajectory(
-    sim: &mut MultiTxSimulator<ArbitraryMotion>,
+    sim: &mut LinkSession<ArbitraryMotion, DarkDebounce>,
     dur_s: f64,
     traj: impl Fn(f64) -> Vec3,
-) -> Vec<MultiTxSlot> {
+) -> Vec<EngineSlot> {
     let seg = 0.05;
     let mut slots = Vec::new();
     let mut t = 0.0;
@@ -74,7 +73,7 @@ fn run_with_trajectory(
 }
 
 /// Availability, handovers and outage statistics from a slot record.
-fn summarize(slots: &[MultiTxSlot]) -> (f64, usize, f64) {
+fn summarize(slots: &[EngineSlot]) -> (f64, usize, f64) {
     let up = slots.iter().filter(|s| s.link_up).count() as f64 / slots.len() as f64;
     let handovers = slots
         .windows(2)
@@ -143,7 +142,14 @@ fn main() {
         );
         // Trajectory-driven occluder: zero wander speed, scripted centre.
         let occ = Occluder::new(v3(-1.2, 0.0, 0.9), 0.15, 0.0, 1);
-        MultiTxSimulator::new(units[..n].to_vec(), motion, vec![occ])
+        LinkSession::builder(motion)
+            .units(units[..n].to_vec())
+            .occluder(occ)
+            .selector(DarkDebounce::new(0.03))
+            .config(EngineConfig::multi_tx(TrackerConfig::default()))
+            .first_report(FirstReport::AtZero)
+            .build()
+            .expect("valid multi-TX config")
     };
 
     let widths = [22, 8, 10, 12, 14];

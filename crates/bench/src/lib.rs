@@ -8,7 +8,8 @@
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
-use cyclops::link::simulator::Window;
+use cyclops::link::engine::SingleTx;
+use cyclops::link::iperf::{windows_50ms, Window};
 use cyclops::prelude::*;
 use cyclops::vrh::motion::ArbitraryMotionConfig;
 
@@ -26,14 +27,14 @@ pub struct LadderPoint {
 }
 
 fn eval_windows(
-    records: &[SlotRecord],
+    records: &[EngineSlot],
     speed_of: impl Fn(&Window) -> f64,
     commanded: f64,
     optimal_gbps: f64,
     sensitivity_dbm: f64,
     slot_s: f64,
 ) -> LadderPoint {
-    let windows = cyclops::link::simulator::windows_50ms(records, slot_s, sensitivity_dbm);
+    let windows = windows_50ms(records, slot_s, sensitivity_dbm);
     // Only windows genuinely moving near the commanded speed (strokes pause
     // at the ends; those windows don't probe the speed under test).
     let moving: Vec<&Window> = windows
@@ -65,6 +66,14 @@ fn eval_windows(
     }
 }
 
+/// The single-TX link session of `sys` (a clone) over `motion`.
+fn session<M: Motion>(sys: &CyclopsSystem, motion: M) -> LinkSession<M, SingleTx> {
+    sys.clone()
+        .into_session_builder(motion)
+        .build()
+        .expect("valid session config")
+}
+
 /// Runs the §5.3 purely-linear protocol at each speed: constant-speed rail
 /// strokes, measuring throughput/power over the paper's 50 ms windows.
 ///
@@ -78,7 +87,7 @@ pub fn linear_ladder(sys: &CyclopsSystem, speeds_mps: &[f64], dur_s: f64) -> Vec
         let mut rail = LinearRail::paper_protocol(base, Vec3::X);
         rail.v0 = v;
         rail.dv = 0.0;
-        let mut sim = sys.clone().into_simulator(rail);
+        let mut sim = session(sys, rail);
         let slot_s = sim.cfg().slot_s;
         let recs = sim.run(dur_s);
         eval_windows(
@@ -106,7 +115,7 @@ pub fn angular_ladder(sys: &CyclopsSystem, speeds_rps: &[f64], dur_s: f64) -> Ve
         let mut stage = RotationStage::paper_protocol(base, Vec3::Y);
         stage.w0 = w;
         stage.dw = 0.0;
-        let mut sim = sys.clone().into_simulator(stage);
+        let mut sim = session(sys, stage);
         let slot_s = sim.cfg().slot_s;
         let recs = sim.run(dur_s);
         eval_windows(
@@ -141,13 +150,13 @@ pub fn arbitrary_run(
         ..Default::default()
     };
     let motion = ArbitraryMotion::new(base, cfg, seed);
-    let mut sim = sys.clone().into_simulator(motion);
+    let mut sim = session(sys, motion);
     // The paper's §5.3 protocol: after a link loss the operator pauses and
     // resumes once the link is back.
     sim.cfg_mut().pause_on_outage = true;
     let slot_s = sim.cfg().slot_s;
     let recs = sim.run(dur_s);
-    cyclops::link::simulator::windows_50ms(&recs, slot_s, sys.dep.design.sfp.rx_sensitivity_dbm)
+    windows_50ms(&recs, slot_s, sys.dep.design.sfp.rx_sensitivity_dbm)
 }
 
 /// A batch of [`arbitrary_run`]s, one per `(lin_rms, ang_rms, seed)` config,

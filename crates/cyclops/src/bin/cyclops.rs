@@ -439,16 +439,23 @@ fn cmd_replay(mut args: Vec<String>) -> Result<(), CliError> {
     if n == 0 {
         return Err(CliError::Usage("--traces must be >= 1".to_string()));
     }
+    // A trace needs at least two samples, i.e. one full sample period.
+    let trace_cfg = TraceGenConfig {
+        duration_s,
+        ..TraceGenConfig::normal_use()
+    };
+    if !(duration_s.is_finite() && duration_s * 1e3 >= trace_cfg.period_ms) {
+        return Err(CliError::Usage(format!(
+            "--duration must be at least one {} ms trace period, got {duration_s}",
+            trace_cfg.period_ms
+        )));
+    }
 
     let p = TraceSimParams::default();
     println!("replaying {n} synthetic §5.4 traces of {duration_s} s (seed {seed}):");
     let mut fracs = Vec::with_capacity(n);
     for i in 0..n {
-        let cfg = TraceGenConfig {
-            duration_s,
-            ..TraceGenConfig::normal_use()
-        };
-        let trace = HeadTrace::generate(&cfg, cyclops_par::mix64(seed, 1 + i as u64));
+        let trace = HeadTrace::generate(&trace_cfg, cyclops_par::mix64(seed, 1 + i as u64));
         let r = simulate_trace(&trace, &p);
         match fallback {
             FallbackPolicy::Off => {
@@ -510,5 +517,21 @@ fn main() {
     if let Err(e) = result {
         eprintln!("error: {e}");
         std::process::exit(2);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn replay_rejects_durations_shorter_than_one_trace_period() {
+        for d in ["0", "-1", "nan", "0.001"] {
+            let args = vec!["--duration".to_string(), d.to_string()];
+            match cmd_replay(args) {
+                Err(CliError::Usage(msg)) => assert!(msg.contains("--duration"), "{d}: {msg}"),
+                other => panic!("--duration {d}: expected a usage error, got {other:?}"),
+            }
+        }
     }
 }

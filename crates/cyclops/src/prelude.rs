@@ -39,13 +39,12 @@ pub use cyclops_link::control::{
     FlapSchedule, ReacqConfig,
 };
 pub use cyclops_link::engine::{
-    run_fleet, run_fleet_mixed, run_fleet_rollup, EngineConfig, EngineConfigError, EngineSlot,
-    FallbackPolicy, FirstReport, FleetConfig, FleetConfigBuilder, FleetPool, FleetRollup,
-    FleetRollupAcc, FleetSummary, LinkPolicy, LinkSession, RfStats, SessionBuilder, SessionReport,
-    SessionStats, TxInstallation,
+    run_fleet, run_fleet_mixed, EngineConfig, EngineConfigError, EngineSlot, FallbackPolicy,
+    FirstReport, FleetConfig, FleetConfigBuilder, FleetPool, FleetRollup, FleetRollupAcc,
+    FleetSummary, LinkPolicy, LinkSession, RfStats, SessionBuilder, SessionReport, SessionStats,
+    TxInstallation,
 };
 pub use cyclops_link::handover::{HandoverSystem, Occluder, TxUnit};
-pub use cyclops_link::multi_tx::MultiTxSimulator;
 pub use cyclops_link::registry::{
     galvo_profile, galvo_profiles, headset_profile, headset_profiles, sfp_profile, sfp_profiles,
     GalvoProfile, GalvoProfileDef, HardwareProfile, HardwareProfileBuilder, HeadsetProfile,
@@ -56,7 +55,6 @@ pub use cyclops_link::sched::{
     ProportionalFair, SchedConfig, SchedCtx, SchedPolicy, SchedRollup, SchedSessionStats,
     SessionSlotState, StaticPartition, TxScheduler,
 };
-pub use cyclops_link::simulator::{LinkSimConfig, LinkSimulator, SlotRecord};
 pub use cyclops_link::telemetry::{
     Histogram, JsonlSink, NullSink, SessionTelemetry, Telemetry, TelemetryCounters, TelemetryEvent,
     TelemetrySink,

@@ -18,7 +18,6 @@ use cyclops_core::tp::{TpConfig, TpController};
 use cyclops_geom::pose::Pose;
 use cyclops_link::control::ControlPlaneConfig;
 use cyclops_link::engine::{EngineConfig, FirstReport, SessionBuilder, SingleTx};
-use cyclops_link::simulator::{LinkSimConfig, LinkSimulator};
 use cyclops_solver::stats::ResidualStats;
 use cyclops_vrh::motion::Motion;
 use cyclops_vrh::tracking::TrackerConfig;
@@ -205,20 +204,10 @@ impl CyclopsSystem {
         self.dep.link_up()
     }
 
-    /// Consumes the system into a 1 ms-slot link simulator over a motion.
-    pub fn into_simulator<M: Motion>(self, motion: M) -> LinkSimulator<M> {
-        let cfg = LinkSimConfig {
-            tracker: self.tracker,
-            control: self.control,
-            ..Default::default()
-        };
-        LinkSimulator::new(self.dep, self.ctl, motion, cfg)
-    }
-
     /// Consumes the system into a pre-seeded engine [`SessionBuilder`] over
-    /// a motion — the builder-first counterpart of
-    /// [`CyclopsSystem::into_simulator`], construction-identical per seed.
-    /// Chain further calls (e.g.
+    /// a motion: the 1 ms-slot single-TX link simulation of the paper's
+    /// throughput evaluations, carrying this system's tracker and control
+    /// plane. Chain further calls (e.g.
     /// [`telemetry`](SessionBuilder::telemetry)) before `.build()`.
     pub fn into_session_builder<M: Motion>(self, motion: M) -> SessionBuilder<M, SingleTx> {
         let cfg = EngineConfig {
@@ -259,7 +248,10 @@ mod tests {
         use cyclops_vrh::motion::StaticPose;
         let sys = CyclopsSystem::commission(&SystemConfig::fast_10g(100));
         let pose = Pose::translation(v3(0.0, 0.0, 1.75));
-        let mut sim = sys.into_simulator(StaticPose(pose));
+        let mut sim = sys
+            .into_session_builder(StaticPose(pose))
+            .build()
+            .expect("valid session config");
         let recs = sim.run(0.5);
         assert_eq!(recs.len(), 500);
         let up = recs.iter().filter(|r| r.link_up).count();

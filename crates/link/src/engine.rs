@@ -1009,8 +1009,8 @@ pub struct SessionStats {
     pub rf_delivered_gb: f64,
 }
 
-/// Per-slot record of a [`LinkSession`] — the union of every wrapper's
-/// record fields (wrappers project it onto their public record types).
+/// Per-slot record of a [`LinkSession`]: the union of the fields every
+/// session profile reports (fields a profile does not track stay 0).
 ///
 /// Layout audit: with the default (compiler-chosen) repr the three `bool`s
 /// pack into the trailing word next to `active`, giving 56 bytes — five
@@ -1061,8 +1061,7 @@ pub struct LinkSession<M: Motion, S: TxSelector> {
     selector: S,
     cfg: EngineConfig,
     channel: ChannelModel,
-    /// Hot-path frame-success evaluator (bit-identical to `channel` in the
-    /// default build; interpolated under the `fast-channel` feature).
+    /// Hot-path frame-success evaluator (bit-identical to `channel`).
     fsp: crate::channel::FrameSuccessCache,
     control: ControlPlane,
     tp: TpPolicy,
@@ -2982,32 +2981,6 @@ pub fn run_fleet(units: &[TxInstallation], cfg: &FleetConfig) -> FleetSummary {
     FleetSummary { sessions }
 }
 
-/// [`run_fleet`] that streams straight into the rollup: sessions run in
-/// fixed-size batches and each report is absorbed into a
-/// [`FleetRollupAcc`] in session order, so memory stays O(batch) instead
-/// of O(sessions) — and the absorb order matches
-/// [`FleetSummary::rollup`]'s fold exactly, making the result
-/// bit-identical to `run_fleet(units, cfg).rollup()` at any thread count.
-pub fn run_fleet_rollup(units: &[TxInstallation], cfg: &FleetConfig) -> FleetRollup {
-    const BATCH: usize = 64;
-    let mut acc = FleetRollupAcc::new();
-    let mut lo = 0;
-    while lo < cfg.n_sessions {
-        let hi = (lo + BATCH).min(cfg.n_sessions);
-        let idx: Vec<usize> = (lo..hi).collect();
-        let one = |&i: &usize| run_fleet_session(units, cfg, i);
-        #[cfg(feature = "parallel")]
-        let reports = cyclops_par::par_map(&idx, 1, one);
-        #[cfg(not(feature = "parallel"))]
-        let reports: Vec<SessionReport> = idx.iter().map(one).collect();
-        for r in &reports {
-            acc.absorb(r);
-        }
-        lo = hi;
-    }
-    acc.finish()
-}
-
 // ---------------------------------------------------------------------------
 // Heterogeneous (mixed-hardware) fleets
 // ---------------------------------------------------------------------------
@@ -3203,7 +3176,7 @@ mod tests {
 
     #[test]
     fn fleet_reports_are_deterministic_and_per_session_seeded() {
-        let units = crate::multi_tx::tests::two_units(911);
+        let units = crate::session_tests::two_units(911);
         let cfg = FleetConfig {
             n_sessions: 3,
             duration_s: 0.5,
@@ -3232,12 +3205,10 @@ mod tests {
 
     /// Satellite: the streaming rollup accumulator. `rollup()` must match a
     /// hand-written single fold bit-for-bit, chunked `merge` must agree on
-    /// every counter (floats re-associate, so those compare approximately),
-    /// and `run_fleet_rollup` (which never materializes the report vector)
-    /// must be bit-identical to `run_fleet(..).rollup()`.
+    /// every counter (floats re-associate, so those compare approximately).
     #[test]
     fn rollup_streaming_merge_matches_manual_fold() {
-        let units = crate::multi_tx::tests::two_units(911);
+        let units = crate::session_tests::two_units(911);
         let cfg = FleetConfig {
             n_sessions: 6,
             duration_s: 0.3,
@@ -3295,19 +3266,6 @@ mod tests {
         let (mt, dt) = (merged.telemetry.unwrap(), direct.telemetry.unwrap());
         assert_eq!(mt.events.slots, dt.events.slots);
         assert_eq!(mt.events.handovers, dt.events.handovers);
-
-        // Streaming driver: same absorb order as rollup(), so bit-identical.
-        let streamed = run_fleet_rollup(&units, &cfg);
-        assert_eq!(streamed.total_slots, direct.total_slots);
-        assert_eq!(
-            streamed.mean_up_frac.to_bits(),
-            direct.mean_up_frac.to_bits()
-        );
-        assert_eq!(
-            streamed.sum_goodput_gbps.to_bits(),
-            direct.sum_goodput_gbps.to_bits()
-        );
-        assert_eq!(streamed.total_handovers, direct.total_handovers);
     }
 
     use crate::control::FaultPlan;
@@ -3332,7 +3290,7 @@ mod tests {
     /// Single-TX chaos session (ARQ + DR + re-acq under the stress fault
     /// plan) over one commissioned unit, with the given telemetry layer.
     fn chaos_session(tele: Telemetry) -> LinkSession<StaticPose, SingleTx> {
-        let unit = crate::multi_tx::tests::two_units(912).remove(0);
+        let unit = crate::session_tests::two_units(912).remove(0);
         let mut cfg = EngineConfig::default();
         cfg.tracker.drift_sigma_per_sqrt_s = 1e-3;
         cfg.control = Some(ControlPlaneConfig::hardened(FaultPlan::stress(17)));
@@ -3406,7 +3364,7 @@ mod tests {
         // The occlusion-handover workload under counters: handover, SFP
         // down/up and outage-histogram events must land, and the stream must
         // stay bit-identical to the uninstrumented run.
-        let units = crate::multi_tx::tests::two_units(902);
+        let units = crate::session_tests::two_units(902);
         let tx0 = units[0].dep.tx_world_params().q2;
         let rx = v3(0.0, 0.0, 1.75);
         let occ = Occluder::new(tx0.lerp(rx, 0.5), 0.12, 0.0, 1);
@@ -3441,7 +3399,7 @@ mod tests {
         // density-0 fog stage attenuates nothing — both must leave the slot
         // stream bit-identical to a session built without an environment.
         let run = |env: Option<crate::channel::Environment>| {
-            let unit = crate::multi_tx::tests::two_units(913).remove(0);
+            let unit = crate::session_tests::two_units(913).remove(0);
             let mut b = LinkSession::builder(StaticPose(park_pose()))
                 .deployment(unit.dep, unit.ctl)
                 .config(EngineConfig::default());
@@ -3460,7 +3418,7 @@ mod tests {
     #[test]
     fn fog_environment_attenuates_power() {
         let run = |env: Option<crate::channel::Environment>| {
-            let unit = crate::multi_tx::tests::two_units(913).remove(0);
+            let unit = crate::session_tests::two_units(913).remove(0);
             let mut b = LinkSession::builder(StaticPose(park_pose()))
                 .deployment(unit.dep, unit.ctl)
                 .config(EngineConfig::default());
@@ -3492,7 +3450,7 @@ mod tests {
 
     #[test]
     fn fleet_rollup_merges_session_telemetry() {
-        let units = crate::multi_tx::tests::two_units(911);
+        let units = crate::session_tests::two_units(911);
         let cfg = FleetConfig::builder()
             .n_sessions(3)
             .duration_s(0.4)
@@ -3719,7 +3677,7 @@ mod tests {
     /// Occluded multi-TX session used by the fallback tests: the occluder
     /// sits on the unit-0 beam, forcing outages and a handover.
     fn occluded_session(fallback: FallbackPolicy) -> LinkSession<StaticPose, DarkDebounce> {
-        let units = crate::multi_tx::tests::two_units(902);
+        let units = crate::session_tests::two_units(902);
         let tx0 = units[0].dep.tx_world_params().q2;
         let rx = v3(0.0, 0.0, 1.75);
         let occ = Occluder::new(tx0.lerp(rx, 0.5), 0.12, 0.0, 1);
@@ -3801,7 +3759,7 @@ mod tests {
 
     #[test]
     fn fleet_fallback_counts_rf_slots_and_never_hurts_availability() {
-        let units = crate::multi_tx::tests::two_units(911);
+        let units = crate::session_tests::two_units(911);
         let tx0 = units[0].dep.tx_world_params().q2;
         let base = v3(0.0, 0.0, 1.75);
         let fleet = |fallback: FallbackPolicy| {

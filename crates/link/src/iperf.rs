@@ -2,130 +2,143 @@
 //!
 //! The paper measures "for every 50 ms time window ... the average
 //! throughput (using iperf) as well as the linear speed (using VRH-T
-//! reports)" (§5.3). [`ThroughputMeter`] reproduces that: feed it per-slot
-//! delivered bits and it emits window-averaged Gbps.
+//! reports)" (§5.3). [`windows_50ms`] reproduces that over a session's
+//! per-slot records.
 
-/// Windowed goodput meter.
-#[derive(Debug, Clone)]
-pub struct ThroughputMeter {
-    /// Window length (seconds); the paper uses 50 ms.
-    pub window_s: f64,
-    acc_bits: f64,
-    acc_t: f64,
-    windows: Vec<f64>,
+use crate::engine::EngineSlot;
+
+/// One of the paper's 50 ms measurement windows.
+#[derive(Debug, Clone, Copy)]
+pub struct Window {
+    /// Mean linear speed (m/s).
+    pub lin: f64,
+    /// Mean angular speed (rad/s).
+    pub ang: f64,
+    /// Mean goodput (Gbps).
+    pub goodput: f64,
+    /// Minimum received power (dBm).
+    pub min_power: f64,
+    /// Fraction of slots with the SFP link up.
+    pub up_frac: f64,
+    /// Fraction of slots where optical signal was present but the SFP was
+    /// still re-locking — the §5.3 "takes a few seconds to regain the link"
+    /// deadtime, which the paper's plots show as recovery gaps.
+    pub relink_frac: f64,
 }
 
-impl ThroughputMeter {
-    /// Creates a meter with the given window.
-    pub fn new(window_s: f64) -> ThroughputMeter {
-        assert!(window_s > 0.0);
-        ThroughputMeter {
-            window_s,
-            acc_bits: 0.0,
-            acc_t: 0.0,
-            windows: Vec::new(),
-        }
-    }
-
-    /// The paper's 50 ms window.
-    pub fn paper_default() -> ThroughputMeter {
-        ThroughputMeter::new(0.050)
-    }
-
-    /// Records `bits` delivered over a slot of `dt` seconds. A slot longer
-    /// than the remaining window is split proportionally across the windows
-    /// it covers (uniform delivery within the slot).
-    pub fn record(&mut self, mut bits: f64, mut dt: f64) {
-        while dt > 0.0 {
-            let remaining = self.window_s - self.acc_t;
-            if dt < remaining - 1e-12 {
-                self.acc_bits += bits;
-                self.acc_t += dt;
-                return;
+/// Aggregates slot records into the paper's 50 ms windows.
+///
+/// An empty record list yields no windows, and a trailing partial window
+/// (fewer than 50 ms of slots) is dropped rather than averaged over a
+/// shorter denominator — both pinned by unit tests.
+pub fn windows_50ms(records: &[EngineSlot], slot_s: f64, sensitivity_dbm: f64) -> Vec<Window> {
+    assert!(
+        slot_s > 0.0 && slot_s <= 0.050,
+        "slots must fit inside the 50 ms window"
+    );
+    let per = (0.050 / slot_s).round() as usize;
+    records
+        .chunks(per)
+        .filter(|c| c.len() == per)
+        .map(|c| {
+            let n = c.len() as f64;
+            let lin = c.iter().map(|r| r.lin_speed).sum::<f64>() / n;
+            let ang = c.iter().map(|r| r.ang_speed).sum::<f64>() / n;
+            let tp = c.iter().map(|r| r.goodput_gbps).sum::<f64>() / n;
+            let pmin = c.iter().map(|r| r.power_dbm).fold(f64::INFINITY, f64::min);
+            let up = c.iter().filter(|r| r.link_up).count() as f64 / n;
+            let relink = c
+                .iter()
+                .filter(|r| !r.link_up && r.power_dbm >= sensitivity_dbm)
+                .count() as f64
+                / n;
+            Window {
+                lin,
+                ang,
+                goodput: tp,
+                min_power: pmin,
+                up_frac: up,
+                relink_frac: relink,
             }
-            // Fill the current window with the slot's proportional share.
-            let share = bits * (remaining / dt).min(1.0);
-            self.acc_bits += share;
-            bits -= share;
-            dt -= remaining;
-            let gbps = self.acc_bits / self.window_s / 1e9;
-            self.windows.push(gbps);
-            self.acc_bits = 0.0;
-            self.acc_t = 0.0;
-        }
-    }
-
-    /// Completed windows so far (Gbps each).
-    pub fn windows(&self) -> &[f64] {
-        &self.windows
-    }
-
-    /// Mean goodput over all completed windows (Gbps).
-    pub fn mean_gbps(&self) -> f64 {
-        if self.windows.is_empty() {
-            0.0
-        } else {
-            self.windows.iter().sum::<f64>() / self.windows.len() as f64
-        }
-    }
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// `n` 1 ms slots with goodput `gbps(i)` and link-up iff it is nonzero.
+    fn slots(n: usize, gbps: impl Fn(usize) -> f64) -> Vec<EngineSlot> {
+        (0..n)
+            .map(|i| EngineSlot {
+                t: (i + 1) as f64 * 1e-3,
+                active: 0,
+                los: true,
+                power_dbm: -20.0,
+                link_up: gbps(i) > 0.0,
+                rf_active: false,
+                goodput_gbps: gbps(i),
+                lin_speed: 0.1,
+                ang_speed: 0.2,
+            })
+            .collect()
+    }
+
     #[test]
     fn constant_rate_measures_exactly() {
-        let mut m = ThroughputMeter::paper_default();
         // 9.4 Gbps for one second in 1 ms slots.
-        for _ in 0..1000 {
-            m.record(9.4e9 * 1e-3, 1e-3);
+        let w = windows_50ms(&slots(1000, |_| 9.4), 1e-3, -25.0);
+        assert_eq!(w.len(), 20);
+        for w in &w {
+            assert!((w.goodput - 9.4).abs() < 1e-9, "window {w:?}");
         }
-        assert_eq!(m.windows().len(), 20);
-        for w in m.windows() {
-            assert!((w - 9.4).abs() < 1e-9, "window {w}");
-        }
-        assert!((m.mean_gbps() - 9.4).abs() < 1e-9);
     }
 
     #[test]
     fn outage_shows_as_zero_windows() {
-        let mut m = ThroughputMeter::paper_default();
-        for i in 0..200 {
-            let up = !(50..150).contains(&i); // 100 ms outage in the middle
-            m.record(if up { 1e9 * 1e-3 } else { 0.0 }, 1e-3);
-        }
-        let w = m.windows();
+        // A 100 ms outage in the middle of 200 ms.
+        let recs = slots(200, |i| if (50..150).contains(&i) { 0.0 } else { 1.0 });
+        let w = windows_50ms(&recs, 1e-3, -25.0);
         assert_eq!(w.len(), 4);
-        assert!(w[0] > 0.9 && w[3] > 0.9);
-        assert!(w[1] < 1e-9 && w[2] < 1e-9);
+        assert!(w[0].goodput > 0.9 && w[3].goodput > 0.9);
+        assert!(w[1].goodput < 1e-9 && w[2].goodput < 1e-9);
     }
 
     #[test]
-    fn long_slot_spreads_across_windows() {
-        // One 120 ms burst at a constant rate covers two full windows and
-        // part of a third; bits must spread, not pile into the first.
-        let mut m = ThroughputMeter::paper_default();
-        m.record(1.2e9 * 0.12, 0.12); // 1.2 Gbps for 120 ms
-        assert_eq!(m.windows().len(), 2);
-        for w in m.windows() {
-            assert!((w - 1.2).abs() < 1e-9, "window {w}");
-        }
+    fn windows_aggregate_correctly() {
+        // The second window is a relink window.
+        let recs = slots(100, |i| if i < 50 { 9.4 } else { 0.0 });
+        let w = windows_50ms(&recs, 1e-3, -25.0);
+        assert_eq!(w.len(), 2);
+        assert!((w[0].lin - 0.1).abs() < 1e-12);
+        assert!((w[0].ang - 0.2).abs() < 1e-12);
+        assert!((w[0].goodput - 9.4).abs() < 1e-12);
+        assert!((w[0].min_power + 20.0).abs() < 1e-12);
+        assert!((w[0].up_frac - 1.0).abs() < 1e-12);
+        assert_eq!(w[0].relink_frac, 0.0);
+        // Second window: signal present (−20 ≥ −25) but link down → relink.
+        assert!((w[1].relink_frac - 1.0).abs() < 1e-12);
+        assert_eq!(w[1].up_frac, 0.0);
     }
 
     #[test]
-    fn partial_window_not_emitted() {
-        let mut m = ThroughputMeter::paper_default();
-        for _ in 0..49 {
-            m.record(1e6, 1e-3);
-        }
-        assert!(m.windows().is_empty());
-        m.record(1e6, 1e-3);
-        assert_eq!(m.windows().len(), 1);
+    fn windows_of_empty_records_are_empty() {
+        assert!(windows_50ms(&[], 1e-3, -25.0).is_empty());
     }
 
     #[test]
-    fn empty_meter_mean_is_zero() {
-        assert_eq!(ThroughputMeter::paper_default().mean_gbps(), 0.0);
+    fn windows_drop_trailing_partial_window() {
+        // 80 slots at 1 ms = one full 50 ms window + 30 leftover slots: the
+        // partial tail must be dropped, not averaged over a short window.
+        let recs = slots(80, |_| 9.4);
+        let w = windows_50ms(&recs, 1e-3, -25.0);
+        assert_eq!(w.len(), 1);
+        // Exactly one full window must also survive intact.
+        let w = windows_50ms(&recs[..50], 1e-3, -25.0);
+        assert_eq!(w.len(), 1);
+        // And fewer slots than one window yields nothing.
+        let w = windows_50ms(&recs[..49], 1e-3, -25.0);
+        assert!(w.is_empty());
     }
 }

@@ -19,7 +19,7 @@
 //! * [`engine`] — the unified slot-clocked simulation engine: one scheduler
 //!   driving pluggable components (motion source, TP policy, control plane,
 //!   channel model, TX selector), plus multi-session fleet workloads; new
-//!   code enters through [`engine::LinkSession::builder`];
+//!   sessions are built with [`engine::LinkSession::builder`];
 //! * [`telemetry`] — deterministic engine observability: slot/TP/control/
 //!   SFP/handover events, counter + histogram aggregation, a JSONL sink,
 //!   and the virtual clock that keeps instrumented runs bit-identical;
@@ -48,13 +48,11 @@ pub mod engine;
 pub mod framing;
 pub mod handover;
 pub mod iperf;
-#[doc(hidden)]
-pub mod multi_tx;
 pub mod registry;
 pub mod sched;
+#[cfg(test)]
+mod session_tests;
 pub mod sfp_state;
-#[doc(hidden)]
-pub mod simulator;
 pub mod telemetry;
 pub mod trace_sim;
 pub mod traffic;
@@ -76,15 +74,12 @@ pub use engine::{
 };
 pub use engine::{run_fleet_mixed, FleetPool};
 pub use framing::Frame;
-pub use iperf::ThroughputMeter;
-pub use multi_tx::MultiTxSimulator;
 pub use registry::{
     galvo_profile, galvo_profiles, headset_profile, headset_profiles, sfp_profile, sfp_profiles,
     GalvoProfile, GalvoProfileDef, HardwareProfile, HardwareProfileBuilder, HeadsetProfile,
     HeadsetProfileDef, RegistryError, SfpProfile, SfpProfileDef,
 };
 pub use sfp_state::SfpLinkState;
-pub use simulator::{LinkSimConfig, LinkSimulator, SlotRecord};
 pub use telemetry::{
     CommandSource, DropReason, Histogram, JsonlSink, NullSink, SessionTelemetry, Telemetry,
     TelemetryCounters, TelemetryEvent, TelemetrySink,

@@ -931,7 +931,7 @@ mod tests {
 
     fn units() -> &'static Vec<TxInstallation> {
         static UNITS: OnceLock<Vec<TxInstallation>> = OnceLock::new();
-        UNITS.get_or_init(|| crate::multi_tx::tests::two_units(911))
+        UNITS.get_or_init(|| crate::session_tests::two_units(911))
     }
 
     /// Synthetic state: always servable on unit `active`, given rate.

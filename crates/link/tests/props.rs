@@ -3,10 +3,10 @@
 use cyclops_geom::vec3::v3;
 use cyclops_link::channel::FsoChannel;
 use cyclops_link::crc::crc32;
-use cyclops_link::engine::MarginSelector;
+use cyclops_link::engine::{EngineSlot, MarginSelector};
 use cyclops_link::framing::Frame;
 use cyclops_link::handover::{HandoverSystem, TxUnit};
-use cyclops_link::iperf::ThroughputMeter;
+use cyclops_link::iperf::windows_50ms;
 use cyclops_link::sfp_state::SfpLinkState;
 use cyclops_link::trace_sim::{simulate_trace, TraceSimParams};
 use cyclops_optics::coupling::LinkDesign;
@@ -98,22 +98,32 @@ proptest! {
         prop_assert!(up_slots <= signal_slots);
     }
 
-    /// The throughput meter conserves bits: sum of windows equals input.
+    /// The 50 ms window meter conserves bits: the windows carry exactly the
+    /// bits of the slots they cover, and a trailing partial window none.
     #[test]
-    fn meter_conserves_bits(rates in prop::collection::vec(0.0..10e9f64, 50..400)) {
-        let mut m = ThroughputMeter::new(0.050);
-        let mut total_bits = 0.0;
-        for r in &rates {
-            m.record(r * 1e-3, 1e-3);
-            total_bits += r * 1e-3;
-        }
+    fn meter_conserves_bits(rates in prop::collection::vec(0.0..10.0f64, 50..400)) {
+        let recs: Vec<EngineSlot> = rates
+            .iter()
+            .enumerate()
+            .map(|(i, &gbps)| EngineSlot {
+                t: (i + 1) as f64 * 1e-3,
+                active: 0,
+                los: true,
+                power_dbm: -20.0,
+                link_up: true,
+                rf_active: false,
+                goodput_gbps: gbps,
+                lin_speed: 0.0,
+                ang_speed: 0.0,
+            })
+            .collect();
+        let windows = windows_50ms(&recs, 1e-3, -25.0);
         let complete = rates.len() / 50;
-        let windowed_bits: f64 = m.windows().iter().map(|g| g * 1e9 * 0.050).sum();
-        let accounted = (complete * 50) as f64;
-        // Bits in completed windows match the first `complete*50` slots.
-        let expected: f64 = rates.iter().take(accounted as usize).map(|r| r * 1e-3).sum();
+        prop_assert_eq!(windows.len(), complete);
+        let windowed_bits: f64 = windows.iter().map(|w| w.goodput * 1e9 * 0.050).sum();
+        let expected: f64 = rates[..complete * 50].iter().map(|g| g * 1e9 * 1e-3).sum();
         prop_assert!((windowed_bits - expected).abs() < 1e-3,
-            "windowed {windowed_bits} vs expected {expected} (total {total_bits})");
+            "windowed {windowed_bits} vs expected {expected}");
     }
 
     /// Trace-sim availability is in \[0,1\] and zero-tolerance kills any
@@ -226,84 +236,6 @@ proptest! {
             hs.step(rx, &[], 1e-3);
         }
         prop_assert_eq!(hs.active(), 0, "margin tie must not flip-flop");
-    }
-}
-
-/// Property tests of the opt-in `fast-channel` interpolated tables
-/// ([`cyclops_link::channel::fast::ChannelLut`]): the stated absolute error
-/// bound vs the analytic path, and exact preservation of monotonicity in
-/// power on both sides of the overload kink.
-#[cfg(feature = "fast-channel")]
-mod fast_channel {
-    use super::*;
-    use cyclops_link::channel::fast::{ChannelLut, ABS_ERR_BOUND};
-
-    proptest! {
-        /// Interpolated q, BER and frame-success stay within the stated
-        /// absolute error bound of the analytic path everywhere — inside
-        /// the tabulated grid and in the out-of-grid fallback region.
-        #[test]
-        fn lut_within_stated_error_bound(
-            sens in -30.0..-20.0f64,
-            over_off in 3.0..30.0f64,
-            p in -60.0..25.0f64,
-            n in 1_000u64..100_000,
-        ) {
-            let ch = FsoChannel::new(sens, sens + over_off);
-            let lut = ChannelLut::new(ch, n);
-            let dq = (lut.q_factor(p) - ch.q_factor(p)).abs();
-            prop_assert!(dq <= ABS_ERR_BOUND, "q error {dq} at {p} dBm");
-            let db = (lut.ber(p) - ch.ber(p)).abs();
-            prop_assert!(db <= ABS_ERR_BOUND, "ber error {db} at {p} dBm");
-            let df = (lut.frame_success_prob(p) - ch.frame_success_prob(p, n)).abs();
-            prop_assert!(df <= ABS_ERR_BOUND, "fsp error {df} at {p} dBm");
-        }
-
-        /// Below the overload power more light is always at least as good:
-        /// q and frame-success are non-decreasing, BER non-increasing —
-        /// exactly, because the tables are monotonized after sampling.
-        #[test]
-        fn lut_monotone_below_overload(
-            sens in -30.0..-20.0f64,
-            over_off in 3.0..30.0f64,
-            a in 0.0..1.0f64,
-            b in 0.0..1.0f64,
-        ) {
-            let over = sens + over_off;
-            let ch = FsoChannel::new(sens, over);
-            let lut = ChannelLut::new(ch, 81_920);
-            // Stay inside the tabulated grid (edge + margin) so the claim
-            // is about the interpolated path, not the analytic fallback.
-            let lo_edge = sens - 14.9;
-            let p1 = lo_edge + a * (over - lo_edge);
-            let p2 = lo_edge + b * (over - lo_edge);
-            let (lo, hi) = if p1 <= p2 { (p1, p2) } else { (p2, p1) };
-            prop_assert!(lut.q_factor(hi) >= lut.q_factor(lo));
-            prop_assert!(lut.frame_success_prob(hi) >= lut.frame_success_prob(lo));
-            prop_assert!(lut.ber(hi) <= lut.ber(lo));
-        }
-
-        /// Above the overload power the ordering reverses: more light only
-        /// distorts harder — q and frame-success non-increasing, BER
-        /// non-decreasing, again exactly.
-        #[test]
-        fn lut_monotone_above_overload(
-            sens in -30.0..-20.0f64,
-            over_off in 3.0..30.0f64,
-            a in 0.0..1.0f64,
-            b in 0.0..1.0f64,
-        ) {
-            let over = sens + over_off;
-            let ch = FsoChannel::new(sens, over);
-            let lut = ChannelLut::new(ch, 81_920);
-            let hi_edge = over + 14.9;
-            let p1 = over + a * (hi_edge - over);
-            let p2 = over + b * (hi_edge - over);
-            let (lo, hi) = if p1 <= p2 { (p1, p2) } else { (p2, p1) };
-            prop_assert!(lut.q_factor(hi) <= lut.q_factor(lo));
-            prop_assert!(lut.frame_success_prob(hi) <= lut.frame_success_prob(lo));
-            prop_assert!(lut.ber(hi) >= lut.ber(lo));
-        }
     }
 }
 

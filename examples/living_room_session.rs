@@ -37,7 +37,10 @@ fn main() {
 
     // Run the full 1 ms-slot simulation: motion -> VRH-T reports -> TP ->
     // optics -> SFP state machine -> goodput.
-    let mut sim = system.into_simulator(playback);
+    let mut sim = system
+        .into_session_builder(playback)
+        .build()
+        .expect("valid session config");
     let records = sim.run(60.0);
 
     let n = records.len() as f64;

@@ -57,8 +57,11 @@ fn full_physics_act() {
     use cyclops::core::kspace::{train_both, BoardConfig};
     use cyclops::core::mapping::{self, rough_initial_guess};
     use cyclops::core::tp::{TpConfig, TpController};
+    use cyclops::link::engine::DarkDebounce;
     use cyclops::link::handover::Occluder;
-    use cyclops::prelude::{MultiTxSimulator, Pose, StaticPose, TxInstallation};
+    use cyclops::prelude::{
+        EngineConfig, FirstReport, LinkSession, Pose, StaticPose, TrackerConfig, TxInstallation,
+    };
 
     println!("\n-- full-physics act: 2 trained units, occluder on unit 0 --");
     let seed = 777u64;
@@ -94,7 +97,14 @@ fn full_physics_act() {
     let rx = Vec3::new(0.0, 0.0, 1.75);
     let occ = Occluder::new(tx0.lerp(rx, 0.5), 0.12, 0.0, 1);
     let motion = StaticPose(Pose::translation(rx));
-    let mut sim = MultiTxSimulator::new(units, motion, vec![occ]);
+    let mut sim = LinkSession::builder(motion)
+        .units(units)
+        .occluder(occ)
+        .selector(DarkDebounce::new(0.03))
+        .config(EngineConfig::multi_tx(TrackerConfig::default()))
+        .first_report(FirstReport::AtZero)
+        .build()
+        .expect("valid multi-TX config");
     let recs = sim.run(5.0);
     let up = recs.iter().filter(|r| r.link_up).count() as f64 / recs.len() as f64;
     let first_recovery = recs.iter().position(|r| r.active == 1 && r.link_up);
