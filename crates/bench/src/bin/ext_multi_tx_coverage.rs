@@ -16,10 +16,6 @@
 //! of *long* occlusions at debounce + re-lock instead of the full blockage
 //! duration.
 
-use cyclops::core::deployment::{Deployment, DeploymentConfig};
-use cyclops::core::kspace::{train_both, BoardConfig};
-use cyclops::core::mapping::{self, rough_initial_guess};
-use cyclops::core::tp::{TpConfig, TpController};
 use cyclops::geom::vec3::v3;
 use cyclops::link::engine::{DarkDebounce, TxInstallation};
 use cyclops::link::handover::Occluder;
@@ -30,28 +26,9 @@ use cyclops_bench::{row, section};
 /// Commission one ceiling unit at `pos` (reduced board/placement budget —
 /// the coverage story does not need Table-2-grade accuracy).
 fn commission_unit(pos: Vec3, seed: u64) -> TxInstallation {
-    let board = BoardConfig {
-        cols: 10,
-        rows: 8,
-        cell_m: 0.0508,
-    };
-    let mut cfg = DeploymentConfig::paper_10g(seed);
-    cfg.tx_position = pos;
-    let mut dep = Deployment::new(&cfg);
-    let (tx_tr, tx_rig, rx_tr, rx_rig) = train_both(&dep, &board, seed).expect("stage-1 training");
-    let (itx, irx) = rough_initial_guess(&dep, &tx_rig, &rx_rig, 0.05, 0.08, seed + 7);
-    let mt = mapping::train(
-        &mut dep,
-        &tx_tr.fitted,
-        &rx_tr.fitted,
-        itx,
-        irx,
-        12,
-        seed + 9,
-    );
-    let v = dep.voltages();
-    let ctl = TpController::new(mt.trained, TpConfig::default(), [v.0, v.1, v.2, v.3]);
-    TxInstallation { dep, ctl }
+    let mut cfg = SystemConfig::fast_10g(seed);
+    cfg.deployment.tx_position = pos;
+    CyclopsSystem::commission(&cfg).into()
 }
 
 /// Runs the session while moving occluder 0 along a scripted trajectory

@@ -1,6 +1,7 @@
 //! Serial/parallel equivalence of the training hot paths.
 //!
-//! The alignment grids and the mapping-sample collection parallelize over
+//! The stage-1 fit parallelizes its Jacobian columns; the alignment grids
+//! and the mapping-sample collection parallelize over
 //! per-row / per-attempt deployment clones whose noise RNGs are reseeded by
 //! a pure function of (stage seed, item index) — never shared — so the
 //! results must be bit-identical at any pool width. These tests run
@@ -10,7 +11,9 @@
 
 use cyclops_core::alignment::{exhaustive_align, AlignResult};
 use cyclops_core::deployment::{Deployment, DeploymentConfig};
-use cyclops_core::mapping::{collect_samples, MappingSample};
+use cyclops_core::kspace::{self, BoardConfig, KspaceRig};
+use cyclops_core::mapping::{self, collect_samples, MappingSample};
+use std::fmt::Debug;
 
 fn align_at(threads: usize, seed: u64) -> AlignResult {
     cyclops_par::with_threads(threads, || {
@@ -78,4 +81,50 @@ fn sample_collection_invariant_to_thread_count() {
         let got = cyclops_par::with_threads(threads, || collect_samples(&mut base.clone(), 3, 99));
         assert_samples_eq(&got, &reference, &format!("threads {threads}"));
     }
+}
+
+/// Runs `work` at pool widths {1, 2, 3, 8} and asserts every run renders
+/// identically to the 1-thread run. `{:?}` prints each `f64` in its
+/// shortest round-trip form, so equal renderings mean equal bits (NaN
+/// payloads aside), for every field of the result.
+fn assert_width_invariant<R: Debug>(ctx: &str, work: impl Fn() -> R) {
+    let reference = format!("{:?}", cyclops_par::with_threads(1, &work));
+    for threads in [2, 3, 8] {
+        let got = format!("{:?}", cyclops_par::with_threads(threads, &work));
+        assert!(
+            got == reference,
+            "{ctx}: {threads} threads diverge from 1 thread"
+        );
+    }
+}
+
+#[test]
+fn kspace_fit_invariant_to_thread_count() {
+    let dep = Deployment::new(&DeploymentConfig::paper_10g(71));
+    let mut rig = KspaceRig::standard(dep.tx.clone(), 72);
+    let init = rig.cad_initial_guess();
+    let samples = rig.collect_samples(&BoardConfig::default());
+    assert_width_invariant("kspace::fit", || {
+        kspace::fit(&samples, &init).expect("stage-1 fit")
+    });
+}
+
+#[test]
+fn mapping_train_invariant_to_thread_count() {
+    let dep = Deployment::new(&DeploymentConfig::paper_10g(73));
+    let (tx_tr, tx_rig, rx_tr, rx_rig) =
+        kspace::train_both(&dep, &BoardConfig::default(), 73).expect("stage-1 training");
+    let (init_tx, init_rx) = mapping::rough_initial_guess(&dep, &tx_rig, &rx_rig, 0.05, 0.08, 80);
+    assert_width_invariant("mapping::train", || {
+        let mt = mapping::train(
+            &mut dep.clone(),
+            &tx_tr.fitted,
+            &rx_tr.fitted,
+            init_tx,
+            init_rx,
+            8,
+            81,
+        );
+        (mt.trained, mt.samples)
+    });
 }

@@ -57,8 +57,16 @@ impl From<std::io::Error> for CliError {
     }
 }
 
+/// Longest accepted `--duration` (seconds). Runs are stepped in 1 ms
+/// slots and replays sample at 100 Hz, so an hour is 3.6 M slots.
+const MAX_DURATION_S: f64 = 3600.0;
+
+/// Largest accepted `--sessions` / `--traces` count.
+const MAX_COUNT: u64 = 100_000;
+
 fn usage() -> String {
-    "cyclops — Cyclops FSO link simulator CLI
+    format!(
+        "cyclops — Cyclops FSO link simulator CLI
 
 USAGE:
   cyclops list-profiles
@@ -74,8 +82,13 @@ SPEC is comma-separated stages:
   fog:D        fog density in [0,1] (Kim-model Beer–Lambert)
   rain:R       rain rate in mm/h (Carbonneau)
   scint:S      log-normal scintillation sigma in dB
-  occluders:R  human beam crossings per minute"
-        .to_string()
+  occluders:R  human beam crossings per minute
+
+LIMITS:
+  --duration   at most {MAX_DURATION_S} s; at least one 1 ms slot (run, fleet)
+               or one 10 ms trace period (replay)
+  --sessions, --traces   1 to {MAX_COUNT}"
+    )
 }
 
 /// Pulls the value of `--flag value` out of `args`, if present.
@@ -110,6 +123,30 @@ fn parse_f64(what: &str, s: &str) -> Result<f64, CliError> {
 fn parse_u64(what: &str, s: &str) -> Result<u64, CliError> {
     s.parse::<u64>()
         .map_err(|_| CliError::Usage(format!("{what}: not an integer: {s:?}")))
+}
+
+/// Parses a `--duration`, rejecting anything above [`MAX_DURATION_S`] (and
+/// NaN); each command checks its own lower bound.
+fn parse_duration(s: &str) -> Result<f64, CliError> {
+    let d = parse_f64("--duration", s)?;
+    if d.is_nan() || d > MAX_DURATION_S {
+        return Err(CliError::Usage(format!(
+            "--duration must be at most {MAX_DURATION_S} s, got {s}"
+        )));
+    }
+    Ok(d)
+}
+
+/// Parses a `--sessions`/`--traces` count, rejecting anything above
+/// [`MAX_COUNT`]; zero is rejected by each command.
+fn parse_count(what: &str, s: &str) -> Result<usize, CliError> {
+    let n = parse_u64(what, s)?;
+    if n > MAX_COUNT {
+        return Err(CliError::Usage(format!(
+            "{what} must be at most {MAX_COUNT}, got {n}"
+        )));
+    }
+    Ok(n as usize)
 }
 
 fn parse_fallback(s: &str) -> Result<FallbackPolicy, CliError> {
@@ -266,10 +303,14 @@ fn cmd_run(mut args: Vec<String>) -> Result<(), CliError> {
     reject_leftovers(&args)?;
 
     let seed = seed.map_or(Ok(9_007), |s| parse_u64("--seed", &s))?;
-    let duration_s = duration.map_or(Ok(2.0), |s| parse_f64("--duration", &s))?;
-    if !(duration_s.is_finite() && duration_s > 0.0) {
+    let duration_s = duration.map_or(Ok(2.0), |s| parse_duration(&s))?;
+    // The session runs `round(duration / slot)` slots; zero would print an
+    // empty run as availability 0.
+    let slot_s = EngineConfig::default().slot_s;
+    if (duration_s / slot_s).round() < 1.0 {
         return Err(CliError::Usage(format!(
-            "--duration must be positive, got {duration_s}"
+            "--duration must span at least one {} ms slot, got {duration_s}",
+            slot_s * 1e3
         )));
     }
     let fallback = fallback.map_or(Ok(FallbackPolicy::Off), |s| parse_fallback(&s))?;
@@ -326,8 +367,8 @@ fn cmd_fleet(mut args: Vec<String>) -> Result<(), CliError> {
     reject_leftovers(&args)?;
 
     let seed = seed.map_or(Ok(905), |s| parse_u64("--seed", &s))?;
-    let duration_s = duration.map_or(Ok(1.0), |s| parse_f64("--duration", &s))?;
-    let n_sessions = sessions.map_or(Ok(4), |s| parse_u64("--sessions", &s))? as usize;
+    let duration_s = duration.map_or(Ok(1.0), |s| parse_duration(&s))?;
+    let n_sessions = sessions.map_or(Ok(4), |s| parse_count("--sessions", &s))?;
     let profiles: Vec<HardwareProfile> = match &mix {
         Some(m) => m
             .split(',')
@@ -341,21 +382,24 @@ fn cmd_fleet(mut args: Vec<String>) -> Result<(), CliError> {
     }
     let wavelength = profiles[0].sfp.design.sfp.wavelength_nm;
     let env = env_spec.map_or(Ok(Environment::new()), |s| parse_env(&s, wavelength, seed))?;
-
-    let mut pools = Vec::with_capacity(profiles.len());
-    for (i, hw) in profiles.iter().enumerate() {
-        eprintln!("commissioning pool {i}: {} ...", hw.label());
-        let sys = CyclopsSystem::commission(&SystemConfig::from_profile(&hw.clone(), seed));
-        pools.push(FleetPool {
-            label: hw.label(),
-            units: vec![TxInstallation {
-                dep: sys.dep,
-                ctl: sys.ctl,
-            }],
-            tracker: hw.tracker(),
-        });
-    }
-
+    let sched = match policy.as_deref() {
+        None => None,
+        Some(_) if profiles.len() != 1 => {
+            return Err(CliError::Usage(
+                "--policy: scheduled fleets are homogeneous; use a single --mix profile"
+                    .to_string(),
+            ));
+        }
+        Some("static") => Some(SchedConfig::static_partition()),
+        Some("greedy") => Some(SchedConfig::greedy()),
+        Some("pf") => Some(SchedConfig::proportional_fair(1.0)),
+        Some(other) => {
+            return Err(CliError::Usage(format!(
+                "--policy: expected static|greedy|pf, got {other:?}"
+            )));
+        }
+    };
+    // Validate everything before commissioning, which takes seconds.
     let fleet = FleetConfig::builder()
         .n_sessions(n_sessions)
         .duration_s(duration_s)
@@ -363,25 +407,20 @@ fn cmd_fleet(mut args: Vec<String>) -> Result<(), CliError> {
         .environment(env)
         .build()?;
 
-    let summary = match policy.as_deref() {
+    let mut pools = Vec::with_capacity(profiles.len());
+    for (i, hw) in profiles.iter().enumerate() {
+        eprintln!("commissioning pool {i}: {} ...", hw.label());
+        let sys = CyclopsSystem::commission(&SystemConfig::from_profile(hw, seed));
+        pools.push(FleetPool {
+            label: hw.label(),
+            units: vec![sys.into()],
+            tracker: hw.tracker(),
+        });
+    }
+
+    let summary = match sched {
         None => run_fleet_mixed(&pools, &fleet)?,
-        Some(p) => {
-            if pools.len() != 1 {
-                return Err(CliError::Usage(
-                    "--policy: scheduled fleets are homogeneous; use a single --mix profile"
-                        .to_string(),
-                ));
-            }
-            let sc = match p {
-                "static" => SchedConfig::static_partition(),
-                "greedy" => SchedConfig::greedy(),
-                "pf" => SchedConfig::proportional_fair(1.0),
-                other => {
-                    return Err(CliError::Usage(format!(
-                        "--policy: expected static|greedy|pf, got {other:?}"
-                    )));
-                }
-            };
+        Some(sc) => {
             let fleet = FleetConfig {
                 tracker: pools[0].tracker,
                 ..fleet
@@ -432,8 +471,8 @@ fn cmd_replay(mut args: Vec<String>) -> Result<(), CliError> {
     let fallback = take_flag(&mut args, "--fallback")?;
     reject_leftovers(&args)?;
 
-    let n = traces.map_or(Ok(8), |s| parse_u64("--traces", &s))? as usize;
-    let duration_s = duration.map_or(Ok(30.0), |s| parse_f64("--duration", &s))?;
+    let n = traces.map_or(Ok(8), |s| parse_count("--traces", &s))?;
+    let duration_s = duration.map_or(Ok(30.0), |s| parse_duration(&s))?;
     let seed = seed.map_or(Ok(42), |s| parse_u64("--seed", &s))?;
     let fallback = fallback.map_or(Ok(FallbackPolicy::Off), |s| parse_fallback(&s))?;
     if n == 0 {
@@ -524,13 +563,39 @@ fn main() {
 mod tests {
     use super::*;
 
+    /// Every out-of-range input is a typed error (exit 2), raised before
+    /// commissioning or any allocation sized by the input: durations that
+    /// span no slot or trace period, and durations or counts above the
+    /// documented limits. Each case names the text its message must carry.
     #[test]
-    fn replay_rejects_durations_shorter_than_one_trace_period() {
-        for d in ["0", "-1", "nan", "0.001"] {
-            let args = vec!["--duration".to_string(), d.to_string()];
-            match cmd_replay(args) {
-                Err(CliError::Usage(msg)) => assert!(msg.contains("--duration"), "{d}: {msg}"),
-                other => panic!("--duration {d}: expected a usage error, got {other:?}"),
+    fn out_of_range_inputs_are_typed_errors() {
+        type Cmd = fn(Vec<String>) -> Result<(), CliError>;
+        let cases: [(Cmd, &[&str], &str); 13] = [
+            (cmd_replay, &["--duration", "0"], "--duration"),
+            (cmd_replay, &["--duration", "-1"], "--duration"),
+            (cmd_replay, &["--duration", "nan"], "--duration"),
+            (cmd_replay, &["--duration", "0.001"], "--duration"),
+            (
+                cmd_replay,
+                &["--traces", "1", "--duration", "1e300"],
+                "--duration",
+            ),
+            (cmd_replay, &["--duration", "1e12"], "--duration"),
+            (cmd_replay, &["--traces", "99999999999"], "--traces"),
+            (cmd_run, &["--duration", "1e300"], "--duration"),
+            (cmd_run, &["--duration", "1e-9"], "--duration"),
+            (cmd_fleet, &["--sessions", "99999999999"], "--sessions"),
+            (cmd_fleet, &["--duration", "1e300"], "--duration"),
+            (cmd_fleet, &["--duration", "1e-9"], "duration_s"),
+            (cmd_fleet, &["--sessions", "0"], "n_sessions"),
+        ];
+        for (cmd, args, what) in cases {
+            let argv = args.iter().map(|a| a.to_string()).collect();
+            match cmd(argv) {
+                Err(e @ (CliError::Usage(_) | CliError::Config(_))) => {
+                    assert!(e.to_string().contains(what), "{args:?}: {e}")
+                }
+                other => panic!("{args:?}: expected a typed rejection, got {other:?}"),
             }
         }
     }

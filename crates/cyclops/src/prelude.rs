@@ -51,9 +51,9 @@ pub use cyclops_link::registry::{
     HeadsetProfileDef, RegistryError, SfpProfile, SfpProfileDef,
 };
 pub use cyclops_link::sched::{
-    run_fleet_scheduled, run_fleet_with_scheduler, GrantEngine, GrantSet, GreedyMaxMargin,
-    ProportionalFair, SchedConfig, SchedCtx, SchedPolicy, SchedRollup, SchedSessionStats,
-    SessionSlotState, StaticPartition, TxScheduler,
+    run_fleet_scheduled, GrantEngine, GrantSet, GreedyMaxMargin, ProportionalFair, SchedConfig,
+    SchedCtx, SchedPolicy, SchedRollup, SchedSessionStats, SessionSlotState, StaticPartition,
+    TxScheduler,
 };
 pub use cyclops_link::telemetry::{
     Histogram, JsonlSink, NullSink, SessionTelemetry, Telemetry, TelemetryCounters, TelemetryEvent,

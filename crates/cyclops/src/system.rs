@@ -17,7 +17,7 @@ use cyclops_core::mapping::{self, MappingSample};
 use cyclops_core::tp::{TpConfig, TpController};
 use cyclops_geom::pose::Pose;
 use cyclops_link::control::ControlPlaneConfig;
-use cyclops_link::engine::{EngineConfig, FirstReport, SessionBuilder, SingleTx};
+use cyclops_link::engine::{EngineConfig, FirstReport, SessionBuilder, SingleTx, TxInstallation};
 use cyclops_solver::stats::ResidualStats;
 use cyclops_vrh::motion::Motion;
 use cyclops_vrh::tracking::TrackerConfig;
@@ -219,6 +219,18 @@ impl CyclopsSystem {
             .deployment(self.dep, self.ctl)
             .config(cfg)
             .first_report(FirstReport::AfterPeriod)
+    }
+}
+
+/// A commissioned system as one TX unit of a multi-TX session or fleet.
+/// Commission each unit with its own `deployment.tx_position` and the same
+/// seed, so the units share one headset world.
+impl From<CyclopsSystem> for TxInstallation {
+    fn from(sys: CyclopsSystem) -> TxInstallation {
+        TxInstallation {
+            dep: sys.dep,
+            ctl: sys.ctl,
+        }
     }
 }
 

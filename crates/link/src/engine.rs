@@ -2489,9 +2489,12 @@ impl FleetConfigBuilder {
         if c.n_sessions == 0 {
             return Err(EngineConfigError::InvalidFleet("n_sessions must be >= 1"));
         }
-        if !(c.duration_s.is_finite() && c.duration_s > 0.0) {
+        // Sessions run `round(duration_s / slot_s)` slots; a duration that
+        // rounds to zero would report an empty, all-zero run.
+        let slots = c.duration_s / EngineConfig::default().slot_s;
+        if !(c.duration_s.is_finite() && slots.round() >= 1.0) {
             return Err(EngineConfigError::InvalidFleet(
-                "duration_s must be finite and positive",
+                "duration_s must be finite and span at least one slot",
             ));
         }
         if !(c.debounce_s.is_finite() && c.debounce_s >= 0.0) {
@@ -3542,10 +3545,12 @@ mod tests {
             FleetConfig::builder().n_sessions(0).build(),
             Err(EngineConfigError::InvalidFleet(_))
         ));
-        assert!(matches!(
-            FleetConfig::builder().duration_s(0.0).build(),
-            Err(EngineConfigError::InvalidFleet(_))
-        ));
+        for d in [0.0, 1e-9, -1.0, f64::NAN] {
+            assert!(matches!(
+                FleetConfig::builder().duration_s(d).build(),
+                Err(EngineConfigError::InvalidFleet(_))
+            ));
+        }
         // Errors render human-readable messages.
         assert!(!EngineConfigError::NoUnits.to_string().is_empty());
         assert!(!EngineConfigError::InvalidFleet("x").to_string().is_empty());

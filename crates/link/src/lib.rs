@@ -48,6 +48,8 @@ pub mod engine;
 pub mod framing;
 pub mod handover;
 pub mod iperf;
+#[cfg(test)]
+mod par_equiv;
 pub mod registry;
 pub mod sched;
 #[cfg(test)]

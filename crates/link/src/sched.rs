@@ -729,22 +729,11 @@ pub fn run_fleet_scheduled(
     fleet: &FleetConfig,
     sched: &SchedConfig,
 ) -> Result<FleetSummary, EngineConfigError> {
-    let mut policy = sched.policy.scheduler();
-    run_fleet_with_scheduler(units, fleet, sched, policy.as_mut())
-}
-
-/// [`run_fleet_scheduled`] with a caller-supplied policy (custom
-/// [`TxScheduler`] implementations plug in here).
-pub fn run_fleet_with_scheduler(
-    units: &[TxInstallation],
-    fleet: &FleetConfig,
-    sched: &SchedConfig,
-    policy: &mut dyn TxScheduler,
-) -> Result<FleetSummary, EngineConfigError> {
     if units.is_empty() {
         return Err(EngineConfigError::NoUnits);
     }
     sched.validate()?;
+    let mut policy = sched.policy.scheduler();
     let n = fleet.n_sessions;
     let m = units.len();
 
@@ -839,7 +828,7 @@ pub fn run_fleet_with_scheduler(
             recs.push(rec);
         }
 
-        ge.step(k as u64, slot_s, &mut states, policy);
+        ge.step(k as u64, slot_s, &mut states, policy.as_mut());
 
         for i in 0..n {
             let rec = &recs[i];

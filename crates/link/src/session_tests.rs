@@ -2,7 +2,7 @@
 //! throughput configuration behind Figs 13–15 (rail speed, tracker drift,
 //! report loss, the §5.3 pause-on-outage protocol, the hardened control
 //! plane) and the multi-TX occlusion handover. Also home of the
-//! [`two_units`] fixture shared by the `engine` and `sched` tests.
+//! [`two_units`] fixture shared by the `engine`, `sched` and `par_equiv` tests.
 
 use crate::control::{ControlPlaneConfig, FaultPlan, FlapSchedule, ReacqConfig};
 use crate::engine::{

@@ -5,7 +5,9 @@
 //! alignment grids, per-window link evaluation, speed-ladder sweeps. This
 //! crate provides the small fork-join substrate they all share.
 //!
-//! Design rules (enforced by tests across the workspace):
+//! Design rules (enforced by the `par_equiv` tests of the solver, core and
+//! link crates, which compare results bit for bit at pool widths
+//! {1, 2, 3, 8}):
 //!
 //! * **Bit-identical to serial.** Every helper maps an index space through a
 //!   pure function and collects results in index order. There are no
@@ -24,7 +26,8 @@
 //! not available; the implementation uses `std::thread::scope`, which is
 //! all the fork-join shape here needs. A thread is spawned per chunk per
 //! call — negligible against the millisecond-scale chunks these pipelines
-//! feed (measured in `BENCH_*.json`; see the README's Performance section).
+//! feed (measured by `perfbench`'s serial and parallel legs; see the
+//! README's Performance section).
 
 #![deny(missing_docs)]
 
