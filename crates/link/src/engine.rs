@@ -2394,6 +2394,39 @@ impl FleetConfig {
             cfg: FleetConfig::default(),
         }
     }
+
+    /// Checks the session count, duration, handover debounce and the
+    /// tracker/control templates. The builder and the `Result`-returning
+    /// drivers ([`run_fleet_mixed`],
+    /// [`run_fleet_scheduled`](crate::sched::run_fleet_scheduled)) call
+    /// it, so a struct-literal configuration gets the same typed errors.
+    pub fn validate(&self) -> Result<(), EngineConfigError> {
+        if self.n_sessions == 0 {
+            return Err(EngineConfigError::InvalidFleet("n_sessions must be >= 1"));
+        }
+        // Sessions run `round(duration_s / slot_s)` slots; a duration that
+        // rounds to zero would report an empty, all-zero run.
+        let slots = self.duration_s / EngineConfig::default().slot_s;
+        if !(self.duration_s.is_finite() && slots.round() >= 1.0) {
+            return Err(EngineConfigError::InvalidFleet(
+                "duration_s must be finite and span at least one slot",
+            ));
+        }
+        if !(self.debounce_s.is_finite() && self.debounce_s >= 0.0) {
+            return Err(EngineConfigError::InvalidFleet(
+                "debounce_s must be finite and non-negative",
+            ));
+        }
+        // Pre-validate the per-session engine config the fleet driver will
+        // assemble, so bad tracker/control templates fail here instead of
+        // mid-fan-out.
+        EngineConfig {
+            tracker: self.tracker,
+            control: self.control,
+            ..EngineConfig::default()
+        }
+        .validate()
+    }
 }
 
 /// Validating builder for [`FleetConfig`] (entry point:
@@ -2483,34 +2516,10 @@ impl FleetConfigBuilder {
         self
     }
 
-    /// Validates and returns the configuration.
+    /// Validates and returns the configuration
+    /// ([`FleetConfig::validate`]).
     pub fn build(self) -> Result<FleetConfig, EngineConfigError> {
-        let c = &self.cfg;
-        if c.n_sessions == 0 {
-            return Err(EngineConfigError::InvalidFleet("n_sessions must be >= 1"));
-        }
-        // Sessions run `round(duration_s / slot_s)` slots; a duration that
-        // rounds to zero would report an empty, all-zero run.
-        let slots = c.duration_s / EngineConfig::default().slot_s;
-        if !(c.duration_s.is_finite() && slots.round() >= 1.0) {
-            return Err(EngineConfigError::InvalidFleet(
-                "duration_s must be finite and span at least one slot",
-            ));
-        }
-        if !(c.debounce_s.is_finite() && c.debounce_s >= 0.0) {
-            return Err(EngineConfigError::InvalidFleet(
-                "debounce_s must be finite and non-negative",
-            ));
-        }
-        // Pre-validate the per-session engine config the fleet driver will
-        // assemble, so bad tracker/control templates fail here instead of
-        // mid-fan-out.
-        EngineConfig {
-            tracker: c.tracker,
-            control: c.control,
-            ..EngineConfig::default()
-        }
-        .validate()?;
+        self.cfg.validate()?;
         Ok(self.cfg)
     }
 }
@@ -3007,6 +3016,9 @@ pub struct FleetPool {
 /// the global session index — so pool membership never perturbs another
 /// session's streams). Each report is stamped with its pool index for
 /// per-profile accounting ([`FleetSummary::profile_rollups`]).
+/// Rejects an empty pool list, a pool without units, or a configuration
+/// that fails [`FleetConfig::validate`] (with any pool's tracker) with a
+/// typed error instead of panicking.
 pub fn run_fleet_mixed(
     pools: &[FleetPool],
     cfg: &FleetConfig,
@@ -3030,6 +3042,9 @@ pub fn run_fleet_mixed(
             ..cfg.clone()
         })
         .collect();
+    for c in &cfgs {
+        c.validate()?;
+    }
     let one = |&i: &usize| {
         let pool = i % pools.len();
         let mut r = run_fleet_session(&pools[pool].units, &cfgs[pool], i);

@@ -21,8 +21,18 @@
 //! timeline (power, outages, handovers, control) is therefore
 //! policy-invariant and bit-identical to [`run_fleet`](crate::engine::run_fleet) for every policy,
 //! which is what keeps the engine-digest goldens stable and makes
-//! policy ablations apples-to-apples. The scheduled slot loop is serial and
-//! RNG-free, so per-seed bit-identity holds at any thread count.
+//! policy ablations apples-to-apples.
+//!
+//! Because session physics never reads a grant, [`run_fleet_scheduled`]
+//! splits each epoch of 256 slots into two phases. Phase 1 steps every
+//! session through the epoch on the `cyclops_par` pool, recording its slot
+//! records. Phase 2 runs the grant engine, traffic and accounting serially
+//! over those records in slot order, RNG-free. The grant pass emits only
+//! the scheduling telemetry events, whose counters no physics event
+//! touches, so emitting them after the epoch's physics changes no session
+//! output: per-seed bit-identity holds at any thread count, and the output
+//! equals the slot-synchronous loop's (a test keeps that loop as its
+//! reference).
 //!
 //! # Grant mechanics
 //!
@@ -48,10 +58,10 @@
 //! trades a little aggregate goodput for worst-session QoE).
 
 use crate::engine::{
-    build_fleet_session, EngineConfigError, EngineSlot, FleetConfig, FleetSummary, SlotSession,
-    SlotSums, TxInstallation,
+    build_fleet_session, EngineConfigError, EngineSlot, FleetConfig, FleetSession, FleetSummary,
+    SlotSession, SlotSums, TxInstallation,
 };
-use crate::telemetry::TelemetryEvent;
+use crate::telemetry::{Telemetry, TelemetryEvent};
 use crate::traffic::{TrafficConfig, TrafficSource};
 use cyclops_par::mix64;
 
@@ -720,19 +730,51 @@ pub struct SchedRollup {
 // Scheduled fleet driver
 // ---------------------------------------------------------------------------
 
-/// Runs a fleet with the TX pool as a shared, scheduled resource, using the
-/// policy named in `sched`. See the module docs for the physics contract.
-/// Rejects an empty unit pool or an invalid [`SchedConfig`] with a typed
-/// error instead of panicking.
-pub fn run_fleet_scheduled(
+/// Slots per phase-1 epoch of [`run_fleet_scheduled`]: long enough that the
+/// per-epoch fork-join is noise against the physics it overlaps, short
+/// enough that the record buffers (14 KiB per session) bound the driver's
+/// memory whatever the duration.
+const EPOCH_SLOTS: usize = 256;
+
+/// One scheduled session's physics lane: the session, the sums its report
+/// folds, and the records of the current epoch (phase 1 writes them, the
+/// grant pass reads them). Kept together so phase 1 fans out over one slice.
+struct Lane {
+    session: FleetSession,
+    seed: u64,
+    sums: SlotSums,
+    recs: Vec<EngineSlot>,
+}
+
+/// The serial grant pass of a scheduled fleet: the grant engine, the
+/// per-session traffic sources and the scheduling/QoE accounting. It reads
+/// each session's slot records in slot order and never feeds anything back
+/// into the physics, so it may run any time after the slot was stepped.
+struct GrantPass {
+    policy: Box<dyn TxScheduler>,
+    ge: GrantEngine,
+    traffic: Vec<TrafficSource>,
+    acc: Vec<SchedSessionStats>,
+    states: Vec<SessionSlotState>,
+    prev_active: Vec<usize>,
+    prev_grant: Vec<Option<usize>>,
+    slot_s: f64,
+    sens: f64,
+    collect: bool,
+}
+
+/// Builds the lanes and the grant pass of a scheduled fleet, and returns
+/// the run's slot count.
+fn scheduled_setup(
     units: &[TxInstallation],
     fleet: &FleetConfig,
     sched: &SchedConfig,
-) -> Result<FleetSummary, EngineConfigError> {
+) -> Result<(Vec<Lane>, GrantPass, usize), EngineConfigError> {
     if units.is_empty() {
         return Err(EngineConfigError::NoUnits);
     }
     sched.validate()?;
+    fleet.validate()?;
     let mut policy = sched.policy.scheduler();
     let n = fleet.n_sessions;
     let m = units.len();
@@ -740,13 +782,18 @@ pub fn run_fleet_scheduled(
     // Build every session exactly as the unscheduled fleet does — same
     // constructor, same per-session streams — so the physics timelines are
     // bit-identical to run_fleet regardless of policy.
-    let mut sessions = Vec::with_capacity(n);
-    let mut seeds = Vec::with_capacity(n);
-    for i in 0..n {
-        let (s, seed) = build_fleet_session(units, fleet, i);
-        sessions.push(s);
-        seeds.push(seed);
-    }
+    let lanes: Vec<Lane> = (0..n)
+        .map(|i| {
+            let (mut session, seed) = build_fleet_session(units, fleet, i);
+            session.begin_external_run();
+            Lane {
+                session,
+                seed,
+                sums: SlotSums::new(),
+                recs: Vec::with_capacity(EPOCH_SLOTS),
+            }
+        })
+        .collect();
 
     // Admission control, in session order.
     let cap = m * sched.max_sessions_per_unit;
@@ -757,165 +804,217 @@ pub fn run_fleet_scheduled(
         n_admitted += *a as usize;
     }
 
-    let slot_s = sessions[0].cfg().slot_s;
+    let slot_s = lanes[0].session.cfg().slot_s;
     let n_slots = (fleet.duration_s / slot_s).round() as usize;
-    let sens = units[0].dep.design.sfp.rx_sensitivity_dbm;
-    let collect = fleet.collect_telemetry;
-
-    let mut ge = GrantEngine::new(n, m, sched, slot_s);
-    let mut traffic: Vec<TrafficSource> = seeds
-        .iter()
-        .map(|&s| TrafficSource::new(sched.traffic, mix64(s, 0x7ea_ff1c)))
-        .collect();
-    let mut sums: Vec<SlotSums> = (0..n).map(|_| SlotSums::new()).collect();
-    let mut acc: Vec<SchedSessionStats> = admitted
-        .iter()
-        .map(|&a| SchedSessionStats {
-            admitted: a,
-            ..SchedSessionStats::default()
-        })
-        .collect();
-    let mut states: Vec<SessionSlotState> = (0..n)
-        .map(|i| SessionSlotState {
-            session: i,
-            admitted: admitted[i],
-            active_unit: 0,
-            signal: false,
-            link_up: false,
-            margin_db: f64::NEG_INFINITY,
-            rate_gbps: 0.0,
-            demand: false,
-            backlog_bits: 0.0,
-            handed_over: false,
-            served_ewma_gbps: 0.0,
-            stalled: false,
-        })
-        .collect();
-    let mut recs: Vec<EngineSlot> = Vec::with_capacity(n);
-    let mut prev_active = vec![0usize; n];
-    let mut prev_grant: Vec<Option<usize>> = vec![None; n];
-
-    for s in sessions.iter_mut() {
-        s.begin_external_run();
-    }
-
-    // The slot-synchronous loop: all sessions advance one slot, then the
-    // scheduler assigns the pool, then traffic drains over the grants.
-    // Serial by design (sessions couple through the pool), and RNG-free
-    // outside the per-session physics — deterministic at any thread count.
-    for k in 0..n_slots {
-        recs.clear();
-        for i in 0..n {
-            let rec = sessions[i].step_slot(k);
-            sums[i].absorb(&rec, sens);
-            traffic[i].arrive_until(rec.t);
-            let fso_up = rec.link_up && !rec.rf_active;
-            states[i] = SessionSlotState {
+    let pass = GrantPass {
+        policy,
+        ge: GrantEngine::new(n, m, sched, slot_s),
+        traffic: lanes
+            .iter()
+            .map(|l| TrafficSource::new(sched.traffic, mix64(l.seed, 0x7ea_ff1c)))
+            .collect(),
+        acc: admitted
+            .iter()
+            .map(|&a| SchedSessionStats {
+                admitted: a,
+                ..SchedSessionStats::default()
+            })
+            .collect(),
+        states: admitted
+            .iter()
+            .enumerate()
+            .map(|(i, &a)| SessionSlotState {
                 session: i,
-                admitted: admitted[i],
-                active_unit: rec.active,
-                signal: rec.power_dbm >= sens,
-                link_up: fso_up,
-                margin_db: rec.power_dbm - sens,
-                rate_gbps: rec.goodput_gbps,
-                demand: traffic[i].has_demand(),
-                backlog_bits: traffic[i].backlog_bits(),
-                handed_over: rec.active != prev_active[i],
-                served_ewma_gbps: 0.0, // filled by the grant engine
-                stalled: traffic[i].is_stalled(),
-            };
-            prev_active[i] = rec.active;
-            recs.push(rec);
-        }
+                admitted: a,
+                active_unit: 0,
+                signal: false,
+                link_up: false,
+                margin_db: f64::NEG_INFINITY,
+                rate_gbps: 0.0,
+                demand: false,
+                backlog_bits: 0.0,
+                handed_over: false,
+                served_ewma_gbps: 0.0,
+                stalled: false,
+            })
+            .collect(),
+        prev_active: vec![0; n],
+        prev_grant: vec![None; n],
+        slot_s,
+        sens: units[0].dep.design.sfp.rx_sensitivity_dbm,
+        collect: fleet.collect_telemetry,
+    };
+    Ok((lanes, pass, n_slots))
+}
 
-        ge.step(k as u64, slot_s, &mut states, policy.as_mut());
-
-        for i in 0..n {
-            let rec = &recs[i];
-            let unit = ge.unit_of(i);
-            let fso_served = ge.deliverable(i, &states[i]);
-            // RF-carried slots bypass the TX pool entirely (the fallback is
-            // broadcast, not steered), so they drain without a grant.
-            let capacity_gbps = if rec.rf_active || fso_served {
-                rec.goodput_gbps
-            } else {
-                0.0
-            };
-            let delivered = if capacity_gbps > 0.0 {
-                traffic[i].deliver(capacity_gbps * 1e9 * slot_s)
-            } else {
-                0.0
-            };
-            ge.note_rate(i, delivered / (1e9 * slot_s));
-            let ps = traffic[i].playout_step(rec.t, slot_s);
-
-            let a = &mut acc[i];
-            a.granted_slots += unit.is_some() as u64;
-            a.served_slots += fso_served as u64;
-            a.denied_slots += (states[i].demand && !fso_served && !rec.rf_active) as u64;
-            if let Some(u) = unit {
-                a.retarget_slots += ge.unit_dark(u) as u64;
-            }
-            a.preempts += ge.preempted(i) as u64;
-            a.delivered_gb += delivered / 1e9;
-
-            if collect {
-                let tele = sessions[i].telemetry_mut();
-                if unit != prev_grant[i] {
-                    if let Some(u) = unit {
-                        tele.emit(&TelemetryEvent::SchedGrant {
-                            t: rec.t,
-                            unit: u as u64,
-                        });
-                    } else if ge.preempted(i) {
-                        tele.emit(&TelemetryEvent::SchedPreempt {
-                            t: rec.t,
-                            unit: prev_grant[i].unwrap_or(0) as u64,
-                        });
-                    }
-                }
-                if let Some(stall_s) = ps.stall_ended {
-                    tele.emit(&TelemetryEvent::PlayoutStall { t: rec.t, stall_s });
-                }
-            }
-            prev_grant[i] = unit;
-        }
+impl GrantPass {
+    /// Traffic arrivals up to the end of session `i`'s slot, and the slot
+    /// state the policy sees.
+    fn observe(&mut self, i: usize, rec: &EngineSlot) {
+        let tr = &mut self.traffic[i];
+        tr.arrive_until(rec.t);
+        let st = &mut self.states[i];
+        *st = SessionSlotState {
+            session: i,
+            admitted: st.admitted,
+            active_unit: rec.active,
+            signal: rec.power_dbm >= self.sens,
+            link_up: rec.link_up && !rec.rf_active,
+            margin_db: rec.power_dbm - self.sens,
+            rate_gbps: rec.goodput_gbps,
+            demand: tr.has_demand(),
+            backlog_bits: tr.backlog_bits(),
+            handed_over: rec.active != self.prev_active[i],
+            served_ewma_gbps: 0.0, // filled by the grant engine
+            stalled: tr.is_stalled(),
+        };
+        self.prev_active[i] = rec.active;
     }
 
-    // Reports: the physics fields are byte-for-byte what run_fleet folds;
-    // the scheduling/QoE accounting rides alongside.
-    let mut reports = Vec::with_capacity(n);
-    for (i, mut session) in sessions.into_iter().enumerate() {
-        session.end_external_run();
-        if collect {
-            session.telemetry_mut().emit(&TelemetryEvent::SessionEnd {
-                session: i as u64,
-                slots: sums[i].slots as u64,
-            });
-        }
-        let mut rep = sums[i].report(i, seeds[i], &session);
-        let ts = traffic[i].stats();
-        let slots = sums[i].slots.max(1) as f64;
-        let dur = slots * slot_s;
-        let a = &mut acc[i];
-        a.availability = a.served_slots as f64 / slots;
-        a.mean_served_gbps = a.delivered_gb / dur;
-        a.offered_gb = ts.offered_gb;
-        a.stall_s = ts.stall_s;
-        a.stall_frac = ts.stall_s / dur;
-        a.stall_events = ts.stall_events;
-        a.frames_generated = ts.frames_generated;
-        a.frames_played = ts.frames_played;
-        rep.sched = Some(*a);
-        reports.push(rep);
+    /// Assigns the pool for slot `k` over the observed states.
+    fn grant(&mut self, k: usize) {
+        self.ge.step(
+            k as u64,
+            self.slot_s,
+            &mut self.states,
+            self.policy.as_mut(),
+        );
     }
-    Ok(FleetSummary { sessions: reports })
+
+    /// Drains session `i`'s traffic over its grant, accounts the slot and
+    /// emits the scheduling telemetry.
+    fn deliver(&mut self, i: usize, rec: &EngineSlot, tele: &mut Telemetry) {
+        let slot_s = self.slot_s;
+        let ge = &mut self.ge;
+        let unit = ge.unit_of(i);
+        let fso_served = ge.deliverable(i, &self.states[i]);
+        // RF-carried slots bypass the TX pool entirely (the fallback is
+        // broadcast, not steered), so they drain without a grant.
+        let capacity_gbps = if rec.rf_active || fso_served {
+            rec.goodput_gbps
+        } else {
+            0.0
+        };
+        let delivered = if capacity_gbps > 0.0 {
+            self.traffic[i].deliver(capacity_gbps * 1e9 * slot_s)
+        } else {
+            0.0
+        };
+        ge.note_rate(i, delivered / (1e9 * slot_s));
+        let ps = self.traffic[i].playout_step(rec.t, slot_s);
+
+        let a = &mut self.acc[i];
+        a.granted_slots += unit.is_some() as u64;
+        a.served_slots += fso_served as u64;
+        a.denied_slots += (self.states[i].demand && !fso_served && !rec.rf_active) as u64;
+        if let Some(u) = unit {
+            a.retarget_slots += ge.unit_dark(u) as u64;
+        }
+        a.preempts += ge.preempted(i) as u64;
+        a.delivered_gb += delivered / 1e9;
+
+        if self.collect {
+            if unit != self.prev_grant[i] {
+                if let Some(u) = unit {
+                    tele.emit(&TelemetryEvent::SchedGrant {
+                        t: rec.t,
+                        unit: u as u64,
+                    });
+                } else if ge.preempted(i) {
+                    tele.emit(&TelemetryEvent::SchedPreempt {
+                        t: rec.t,
+                        unit: self.prev_grant[i].unwrap_or(0) as u64,
+                    });
+                }
+            }
+            if let Some(stall_s) = ps.stall_ended {
+                tele.emit(&TelemetryEvent::PlayoutStall { t: rec.t, stall_s });
+            }
+        }
+        self.prev_grant[i] = unit;
+    }
+
+    /// The session reports: the physics fields are byte-for-byte what
+    /// run_fleet folds; the scheduling/QoE accounting rides alongside.
+    fn finish(self, lanes: Vec<Lane>) -> FleetSummary {
+        let slot_s = self.slot_s;
+        let mut reports = Vec::with_capacity(lanes.len());
+        for (i, (mut lane, mut a)) in lanes.into_iter().zip(self.acc).enumerate() {
+            lane.session.end_external_run();
+            if self.collect {
+                lane.session
+                    .telemetry_mut()
+                    .emit(&TelemetryEvent::SessionEnd {
+                        session: i as u64,
+                        slots: lane.sums.slots as u64,
+                    });
+            }
+            let mut rep = lane.sums.report(i, lane.seed, &lane.session);
+            let ts = self.traffic[i].stats();
+            let slots = lane.sums.slots.max(1) as f64;
+            let dur = slots * slot_s;
+            a.availability = a.served_slots as f64 / slots;
+            a.mean_served_gbps = a.delivered_gb / dur;
+            a.offered_gb = ts.offered_gb;
+            a.stall_s = ts.stall_s;
+            a.stall_frac = ts.stall_s / dur;
+            a.stall_events = ts.stall_events;
+            a.frames_generated = ts.frames_generated;
+            a.frames_played = ts.frames_played;
+            rep.sched = Some(a);
+            reports.push(rep);
+        }
+        FleetSummary { sessions: reports }
+    }
+}
+
+/// Runs a fleet with the TX pool as a shared, scheduled resource, using the
+/// policy named in `sched`. See the module docs for the physics contract.
+/// Rejects an empty unit pool, an invalid [`SchedConfig`] or a
+/// [`FleetConfig`] that fails [`FleetConfig::validate`] with a typed error
+/// instead of panicking.
+pub fn run_fleet_scheduled(
+    units: &[TxInstallation],
+    fleet: &FleetConfig,
+    sched: &SchedConfig,
+) -> Result<FleetSummary, EngineConfigError> {
+    let (mut lanes, mut pass, n_slots) = scheduled_setup(units, fleet, sched)?;
+    let sens = pass.sens;
+    // Phase 1 steps every session through the epoch on the pool (session
+    // physics never reads a grant); phase 2 is the serial grant pass over
+    // the epoch's records in slot order: the scheduler assigns the pool,
+    // then traffic drains over the grants. The module docs say why this
+    // equals the slot-synchronous loop at any thread count.
+    for k0 in (0..n_slots).step_by(EPOCH_SLOTS) {
+        let epoch = k0..n_slots.min(k0 + EPOCH_SLOTS);
+        cyclops_par::par_for_each_mut(&mut lanes, 1, |lane| {
+            lane.recs.clear();
+            for k in epoch.clone() {
+                let rec = lane.session.step_slot(k);
+                lane.sums.absorb(&rec, sens);
+                lane.recs.push(rec);
+            }
+        });
+        for (j, k) in epoch.enumerate() {
+            for (i, lane) in lanes.iter().enumerate() {
+                pass.observe(i, &lane.recs[j]);
+            }
+            pass.grant(k);
+            for (i, lane) in lanes.iter_mut().enumerate() {
+                pass.deliver(i, &lane.recs[j], lane.session.telemetry_mut());
+            }
+        }
+    }
+    Ok(pass.finish(lanes))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::run_fleet;
+    use crate::control::{ControlPlaneConfig, FaultPlan};
+    use crate::engine::{run_fleet, run_fleet_mixed, FallbackPolicy, FleetPool};
+    use crate::handover::Occluder;
+    use cyclops_vrh::tracking::TrackerConfig;
     use std::sync::OnceLock;
 
     fn units() -> &'static Vec<TxInstallation> {
@@ -1203,6 +1302,146 @@ mod tests {
                 proptest::prop_assert_eq!(a.mean_power_dbm.to_bits(), b.mean_power_dbm.to_bits());
                 proptest::prop_assert_eq!(a.handovers, b.handovers);
             }
+        }
+    }
+
+    /// The slot-synchronous loop the epoch driver replaced: every session
+    /// advances one slot, then the grant pass runs that slot. Same setup,
+    /// grant pass and reports, so any difference is the phase split's.
+    fn run_fleet_scheduled_reference(
+        units: &[TxInstallation],
+        fleet: &FleetConfig,
+        sched: &SchedConfig,
+    ) -> Result<FleetSummary, EngineConfigError> {
+        let (mut lanes, mut pass, n_slots) = scheduled_setup(units, fleet, sched)?;
+        for k in 0..n_slots {
+            for (i, lane) in lanes.iter_mut().enumerate() {
+                let rec = lane.session.step_slot(k);
+                lane.sums.absorb(&rec, pass.sens);
+                pass.observe(i, &rec);
+                lane.recs.clear();
+                lane.recs.push(rec);
+            }
+            pass.grant(k);
+            for (i, lane) in lanes.iter_mut().enumerate() {
+                pass.deliver(i, &lane.recs[0], lane.session.telemetry_mut());
+            }
+        }
+        Ok(pass.finish(lanes))
+    }
+
+    /// The epoch driver renders exactly like the slot-synchronous reference
+    /// (`{:?}` prints every field, each `f64` in round-trip form) for every
+    /// policy, across epoch boundaries (1, 255, 256, 257 and 1000 slots),
+    /// for one and three sessions, at pool widths 1 and 3. The fleet is
+    /// hostile (hardened control plane under the stress plan, a roaming
+    /// occluder, RF fallback) so the grant pass sees outages, RF slots,
+    /// grants, preemptions and stalls, and telemetry is collected so the
+    /// sched counters are compared too.
+    #[test]
+    fn epoch_driver_matches_slot_synchronous_reference() {
+        // Fast-relock SFPs (20 ms, as in the contention ablation) keep the
+        // FSO links up often enough for the policies to grant and preempt.
+        let mut units = units().clone();
+        for u in &mut units {
+            u.dep.design.sfp.relink_time_s = 0.02;
+        }
+        let units = &units;
+        let base = FleetConfig::default().base_pose;
+        let tx0 = units[0].dep.tx_world_params().q2;
+        // Grants, preemptions, stalls and served slots the reference saw.
+        let mut seen = [0u64; 4];
+        for n_sessions in [1, 3] {
+            for slots in [1usize, 255, 256, 257, 1000] {
+                let fleet = FleetConfig {
+                    n_sessions,
+                    duration_s: slots as f64 * 1e-3,
+                    seed: 31,
+                    control: Some(ControlPlaneConfig::hardened(FaultPlan::stress(5))),
+                    occluders: vec![Occluder::new(tx0.lerp(base.trans, 0.5), 0.12, 0.4, 0)],
+                    collect_telemetry: true,
+                    fallback: FallbackPolicy::RfOnOutage,
+                    ..FleetConfig::default()
+                };
+                for sched in [
+                    SchedConfig::static_partition(),
+                    SchedConfig::greedy(),
+                    SchedConfig::proportional_fair(1.0),
+                ] {
+                    let ctx = format!("{n_sessions} sessions, {slots} slots, {:?}", sched.policy);
+                    let reference = run_fleet_scheduled_reference(units, &fleet, &sched).unwrap();
+                    assert!(reference.sessions.iter().all(|s| s.slots == slots), "{ctx}");
+                    for s in &reference.sessions {
+                        let (e, sc) = (s.telemetry.unwrap().events, s.sched.unwrap());
+                        seen[0] += e.sched_grants;
+                        seen[1] += e.sched_preempts;
+                        seen[2] += e.playout_stalls;
+                        seen[3] += sc.served_slots;
+                    }
+                    let reference = format!("{reference:?}");
+                    for threads in [1, 3] {
+                        let got = cyclops_par::with_threads(threads, || {
+                            run_fleet_scheduled(units, &fleet, &sched).unwrap()
+                        });
+                        assert!(
+                            format!("{got:?}") == reference,
+                            "{ctx}: the epoch driver at {threads} threads diverges from the reference"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(
+            seen.iter().all(|&c| c > 0),
+            "grants, preemptions, stalls, served slots: {seen:?}"
+        );
+    }
+
+    /// A struct-literal configuration skips the builder; every
+    /// `Result`-returning driver still rejects it with a typed error.
+    #[test]
+    fn invalid_fleets_are_typed_errors() {
+        let units = units();
+        let pools = [FleetPool {
+            label: "10g".into(),
+            units: units.clone(),
+            tracker: TrackerConfig::default(),
+        }];
+        for (what, fleet) in [
+            (
+                "zero sessions",
+                FleetConfig {
+                    n_sessions: 0,
+                    ..FleetConfig::default()
+                },
+            ),
+            (
+                "NaN duration",
+                FleetConfig {
+                    duration_s: f64::NAN,
+                    ..FleetConfig::default()
+                },
+            ),
+            (
+                "negative debounce",
+                FleetConfig {
+                    debounce_s: -0.01,
+                    ..FleetConfig::default()
+                },
+            ),
+        ] {
+            let invalid = |r: Result<(), EngineConfigError>| {
+                matches!(r, Err(EngineConfigError::InvalidFleet(_)))
+            };
+            assert!(invalid(fleet.validate()), "{what}: validate");
+            assert!(
+                invalid(run_fleet_scheduled(units, &fleet, &SchedConfig::greedy()).map(drop)),
+                "{what}: run_fleet_scheduled"
+            );
+            assert!(
+                invalid(run_fleet_mixed(&pools, &fleet).map(drop)),
+                "{what}: run_fleet_mixed"
+            );
         }
     }
 

@@ -22,12 +22,22 @@
 //!   override ([`set_threads`]) → `CYCLOPS_THREADS` env var → the machine's
 //!   available parallelism. Benchmarks pin it for stable CI numbers.
 //!
+//! The helpers:
+//!
+//! * [`par_map_indexed`] / [`par_map`] — map an index space or a slice,
+//!   results in input order;
+//! * [`par_argmax`] — first-wins argmax, the exhaustive grid scans;
+//! * [`par_for_each_mut`] — mutate each element of a slice in place, the
+//!   lockstep drivers whose items carry their own state (the scheduled
+//!   fleet's per-epoch session physics).
+//!
 //! The container this repo builds in cannot fetch crates.io, so rayon is
 //! not available; the implementation uses `std::thread::scope`, which is
 //! all the fork-join shape here needs. A thread is spawned per chunk per
-//! call — negligible against the millisecond-scale chunks these pipelines
-//! feed (measured by `perfbench`'s serial and parallel legs; see the
-//! README's Performance section).
+//! call (per chunk after the first for [`par_for_each_mut`], whose chunk 0
+//! runs on the caller) — negligible against the millisecond-scale chunks
+//! these pipelines feed (measured by `perfbench`'s serial and parallel
+//! legs; see the README's Performance section).
 
 #![deny(missing_docs)]
 
@@ -160,6 +170,48 @@ where
     par_map_indexed(items.len(), min_chunk, |i| f(&items[i]))
 }
 
+/// Applies `f` to every element of `items` in place.
+///
+/// Splits the slice into at most [`max_threads`] contiguous chunks of at
+/// least `min_chunk` elements. Chunk 0 runs on the calling thread and the
+/// others on scoped workers; one chunk falls back to the plain serial loop.
+/// Each element is visited by exactly one thread, so when `f` touches only
+/// its own element the result is bit-identical to the serial loop. This is
+/// the shape of a lockstep driver whose items carry their own state (the
+/// scheduled fleet steps each session through an epoch of slots).
+pub fn par_for_each_mut<T, F>(items: &mut [T], min_chunk: usize, f: F)
+where
+    T: Send,
+    F: Fn(&mut T) + Sync,
+{
+    let n = items.len();
+    let threads = (n / min_chunk.max(1)).clamp(1, max_threads());
+    if threads <= 1 {
+        items.iter_mut().for_each(f);
+        return;
+    }
+    #[cfg(not(feature = "parallel"))]
+    {
+        unreachable!("threads > 1 with the parallel feature disabled");
+    }
+    #[cfg(feature = "parallel")]
+    {
+        let mut chunks = items.chunks_mut(n.div_ceil(threads));
+        let first = chunks.next().expect("threads > 1 implies a nonempty slice");
+        std::thread::scope(|s| {
+            let f = &f;
+            let handles: Vec<_> = chunks
+                .map(|c| s.spawn(move || c.iter_mut().for_each(f)))
+                .collect();
+            first.iter_mut().for_each(f);
+            for h in handles {
+                // Panics inside workers propagate to the caller.
+                h.join().expect("cyclops-par worker panicked");
+            }
+        });
+    }
+}
+
 /// First-wins argmax reduction over `0..n` by strictly-greater comparison —
 /// the reduction shape of every exhaustive grid scan in the workspace.
 ///
@@ -207,6 +259,14 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Serializes the tests that change the process-wide pool width, so
+    /// `with_threads_restores` never observes another test's override.
+    fn width_lock() -> MutexGuard<'static, ()> {
+        static WIDTH: Mutex<()> = Mutex::new(());
+        WIDTH.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn map_preserves_index_order() {
@@ -216,6 +276,7 @@ mod tests {
 
     #[test]
     fn map_matches_serial_bitwise_for_floats() {
+        let _width = width_lock();
         let f = |i: usize| ((i as f64) * 0.1).sin().exp();
         let serial: Vec<f64> = (0..10_000).map(f).collect();
         let parallel = with_threads(8, || par_map_indexed(10_000, 16, f));
@@ -234,6 +295,7 @@ mod tests {
 
     #[test]
     fn argmax_matches_serial_first_wins() {
+        let _width = width_lock();
         // A landscape with an exact tie: first index must win at any
         // thread count.
         let vals: Vec<f64> = (0..997)
@@ -255,7 +317,51 @@ mod tests {
     }
 
     #[test]
+    fn for_each_mut_matches_serial_bitwise() {
+        let _width = width_lock();
+        // A stateful per-item recurrence, as a session stepping its slots.
+        let step = |x: &mut (u64, f64)| {
+            for _ in 0..50 {
+                x.1 = (x.1 * 1.1 + x.0 as f64).sin();
+            }
+            x.0 += 1;
+        };
+        let bits = |v: &[(u64, f64)]| -> Vec<(u64, u64)> {
+            v.iter().map(|&(a, b)| (a, b.to_bits())).collect()
+        };
+        // Fewer items than threads, an uneven split, and many items.
+        for n in [0, 1, 2, 5, 97] {
+            let init: Vec<(u64, f64)> = (0..n).map(|i| (i as u64, i as f64 * 0.3)).collect();
+            let mut serial = init.clone();
+            serial.iter_mut().for_each(step);
+            for t in [1, 2, 3, 8] {
+                let mut got = init.clone();
+                with_threads(t, || par_for_each_mut(&mut got, 1, step));
+                assert_eq!(bits(&got), bits(&serial), "n={n} threads={t}");
+            }
+        }
+    }
+
+    #[test]
+    fn for_each_mut_propagates_worker_panics() {
+        let _width = width_lock();
+        // The last item lands in a worker chunk whenever the pool is wider
+        // than one thread; the serial build panics on the caller directly.
+        let mut items: Vec<usize> = (0..16).collect();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            with_threads(4, || {
+                par_for_each_mut(&mut items, 1, |x| {
+                    assert!(*x != 15, "item 15 fails");
+                    *x += 1;
+                })
+            })
+        }));
+        assert!(caught.is_err(), "a worker panic must reach the caller");
+    }
+
+    #[test]
     fn with_threads_restores() {
+        let _width = width_lock();
         set_threads(0);
         let before = max_threads();
         with_threads(3, || {
