@@ -15,7 +15,8 @@
 //!
 //! Loss decisions come from the deterministic `FaultPlan` streams, so every
 //! number printed here is bit-identical per seed at any thread count — the
-//! `chaos` CI job diffs this output across build configurations.
+//! `chaos` CI job diffs this output between 4 threads and the width-1 serial
+//! reference.
 
 use cyclops::prelude::*;
 use cyclops_bench::{angular_ladder, digest_ladder, linear_ladder, row, section, tolerated_speed};

@@ -9,8 +9,8 @@
 //! digest per workload.
 //!
 //! The digests are pure functions of the seeds: they must match the golden
-//! file `goldens/engine_digest.txt` bit-for-bit on every platform, thread
-//! count and build configuration (default and `--no-default-features`).
+//! file `goldens/engine_digest.txt` bit-for-bit on every platform and
+//! thread count; `CYCLOPS_THREADS=1` is the serial reference.
 //! A mismatch means a refactor changed simulation semantics.
 //!
 //! ```sh

@@ -77,9 +77,9 @@ fn session<M: Motion>(sys: &CyclopsSystem, motion: M) -> LinkSession<M, SingleTx
 /// Runs the §5.3 purely-linear protocol at each speed: constant-speed rail
 /// strokes, measuring throughput/power over the paper's 50 ms windows.
 ///
-/// Rungs are independent (each clones the commissioned system), so under the
-/// `parallel` feature they run on worker threads and are collected in input
-/// order — bit-identical to the serial sweep.
+/// Rungs are independent (each clones the commissioned system), so they run
+/// on the [`cyclops_par`] pool and are collected in input order —
+/// bit-identical to the serial sweep.
 pub fn linear_ladder(sys: &CyclopsSystem, speeds_mps: &[f64], dur_s: f64) -> Vec<LadderPoint> {
     let optimal = sys.dep.design.sfp.optimal_goodput_gbps;
     let rung = |&v: &f64| {
@@ -99,11 +99,7 @@ pub fn linear_ladder(sys: &CyclopsSystem, speeds_mps: &[f64], dur_s: f64) -> Vec
             slot_s,
         )
     };
-    #[cfg(feature = "parallel")]
-    let pts = cyclops_par::par_map(speeds_mps, 1, rung);
-    #[cfg(not(feature = "parallel"))]
-    let pts: Vec<LadderPoint> = speeds_mps.iter().map(rung).collect();
-    pts
+    cyclops_par::par_map(speeds_mps, 1, rung)
 }
 
 /// Runs the §5.3 purely-angular protocol at each angular speed (rad/s).
@@ -127,11 +123,7 @@ pub fn angular_ladder(sys: &CyclopsSystem, speeds_rps: &[f64], dur_s: f64) -> Ve
             slot_s,
         )
     };
-    #[cfg(feature = "parallel")]
-    let pts = cyclops_par::par_map(speeds_rps, 1, rung);
-    #[cfg(not(feature = "parallel"))]
-    let pts: Vec<LadderPoint> = speeds_rps.iter().map(rung).collect();
-    pts
+    cyclops_par::par_map(speeds_rps, 1, rung)
 }
 
 /// One mixed-motion (hand-held) run at a given intensity; returns the 50 ms
@@ -160,9 +152,8 @@ pub fn arbitrary_run(
 }
 
 /// A batch of [`arbitrary_run`]s, one per `(lin_rms, ang_rms, seed)` config,
-/// collected in config order. Runs are seeded independently, so under the
-/// `parallel` feature they execute on worker threads with results
-/// bit-identical to the serial loop.
+/// collected in config order. Runs are seeded independently, so they execute
+/// on the [`cyclops_par`] pool with results bit-identical to the serial loop.
 pub fn arbitrary_runs(
     sys: &CyclopsSystem,
     configs: &[(f64, f64, u64)],
@@ -171,11 +162,7 @@ pub fn arbitrary_runs(
     let one = |&(lin_rms, ang_rms, seed): &(f64, f64, u64)| {
         arbitrary_run(sys, lin_rms, ang_rms, dur_s, seed)
     };
-    #[cfg(feature = "parallel")]
-    let runs = cyclops_par::par_map(configs, 1, one);
-    #[cfg(not(feature = "parallel"))]
-    let runs: Vec<Vec<Window>> = configs.iter().map(one).collect();
-    runs
+    cyclops_par::par_map(configs, 1, one)
 }
 
 /// The largest ladder speed whose optimal fraction is ≥ 95 % — the paper's
@@ -189,8 +176,8 @@ pub fn tolerated_speed(points: &[LadderPoint]) -> f64 {
 }
 
 /// Folds a ladder's numeric output into a running `mix64` digest — the
-/// determinism fingerprint the `chaos` CI job compares across build
-/// configurations (default vs `--no-default-features`) and thread counts.
+/// determinism fingerprint the `chaos` CI job compares across thread counts
+/// (4 threads against the width-1 serial reference).
 pub fn digest_ladder(mut digest: u64, points: &[LadderPoint]) -> u64 {
     for p in points {
         for bits in [

@@ -1,13 +1,12 @@
-//! Serial/parallel equivalence of the training hot paths.
+//! Thread-count invariance of the training hot paths.
 //!
 //! The stage-1 fit parallelizes its Jacobian columns; the alignment grids
 //! and the mapping-sample collection parallelize over
 //! per-row / per-attempt deployment clones whose noise RNGs are reseeded by
 //! a pure function of (stage seed, item index) — never shared — so the
-//! results must be bit-identical at any pool width. These tests run
-//! unchanged under `--no-default-features`, where `with_threads` is inert
-//! and the same assertions certify the serial path; passing in both build
-//! configurations proves the two builds agree with each other.
+//! results must be bit-identical at any pool width. Each test compares its
+//! widths against the width-1 pin, which is the serial reference: at width
+//! 1 every `cyclops_par` helper runs the plain serial loop.
 
 use cyclops_core::alignment::{exhaustive_align, AlignResult};
 use cyclops_core::deployment::{Deployment, DeploymentConfig};

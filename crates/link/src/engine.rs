@@ -41,8 +41,9 @@
 //! Determinism is the engine's core contract: every random draw comes from a
 //! seeded per-deployment RNG or a `mix64` stream, and the slot loop touches
 //! them in a fixed order, so any configuration replays bit-identically for a
-//! given seed — on any platform, thread count and build configuration. The
-//! `engine_digest` bench bin pins this against committed goldens.
+//! given seed — on any platform and thread count (`CYCLOPS_THREADS=1` is the
+//! serial reference). The `engine_digest` bench bin pins this against
+//! committed goldens.
 //!
 //! On top of single sessions the engine runs **multi-session workloads**
 //! ([`run_fleet`]): N independently-seeded headsets, each against its own
@@ -2980,16 +2981,12 @@ fn run_fleet_session(units: &[TxInstallation], cfg: &FleetConfig, i: usize) -> S
 /// Runs `cfg.n_sessions` independently-seeded sessions, each against its
 /// own clone of `units`, and collects the reports in session-index order.
 ///
-/// Sessions are independent, so under the `parallel` feature they run on
-/// worker threads and are collected in index order — bit-identical to the
-/// serial loop at any thread count.
+/// Sessions are independent, so they run on the [`cyclops_par`] pool and
+/// are collected in index order — bit-identical to the serial loop at any
+/// thread count.
 pub fn run_fleet(units: &[TxInstallation], cfg: &FleetConfig) -> FleetSummary {
-    let idx: Vec<usize> = (0..cfg.n_sessions).collect();
-    let one = |&i: &usize| run_fleet_session(units, cfg, i);
-    #[cfg(feature = "parallel")]
-    let sessions = cyclops_par::par_map(&idx, 1, one);
-    #[cfg(not(feature = "parallel"))]
-    let sessions: Vec<SessionReport> = idx.iter().map(one).collect();
+    let sessions =
+        cyclops_par::par_map_indexed(cfg.n_sessions, 1, |i| run_fleet_session(units, cfg, i));
     FleetSummary { sessions }
 }
 
@@ -3045,17 +3042,12 @@ pub fn run_fleet_mixed(
     for c in &cfgs {
         c.validate()?;
     }
-    let one = |&i: &usize| {
+    let sessions = cyclops_par::par_map_indexed(cfg.n_sessions, 1, |i| {
         let pool = i % pools.len();
         let mut r = run_fleet_session(&pools[pool].units, &cfgs[pool], i);
         r.profile = Some(pool as u32);
         r
-    };
-    let idx: Vec<usize> = (0..cfg.n_sessions).collect();
-    #[cfg(feature = "parallel")]
-    let sessions = cyclops_par::par_map(&idx, 1, one);
-    #[cfg(not(feature = "parallel"))]
-    let sessions: Vec<SessionReport> = idx.iter().map(one).collect();
+    });
     Ok(FleetSummary { sessions })
 }
 

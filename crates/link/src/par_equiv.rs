@@ -1,11 +1,11 @@
-//! Serial/parallel equivalence of the fleet drivers and the §5.4 corpus.
+//! Thread-count invariance of the fleet drivers and the §5.4 corpus.
 //!
 //! Fleet sessions draw every stream from `mix64(seed, 1 + i)` and are
 //! collected in session order, so a fleet's reports must be bit-identical
 //! at any pool width. Each test reruns one workload at widths {1, 2, 3, 8}
-//! and compares the whole output against the 1-thread run. Under
-//! `--no-default-features` `with_threads` is inert and the same assertions
-//! certify the serial path, so passing in both builds proves the two agree.
+//! and compares the whole output against the 1-thread run, the serial
+//! reference: at width 1 every `cyclops_par` helper runs the plain serial
+//! loop.
 
 use crate::channel::{Environment, FogStage, ScintillationStage};
 use crate::control::{ControlPlaneConfig, FaultPlan};

@@ -25,7 +25,8 @@
 //! no float computed by the engine, and no control-flow decision depends on
 //! whether a sink is attached. The `engine_digest` bin re-runs a workload
 //! with telemetry disabled, a [`NullSink`], and a [`JsonlSink`] attached and
-//! asserts bit-identical digests in both build configurations.
+//! asserts bit-identical digests at every thread count, with
+//! `CYCLOPS_THREADS=1` as the serial reference.
 
 use std::fmt;
 use std::io::{self, Write};

@@ -14,19 +14,20 @@
 //!   atomics-based float accumulations and no scheduling-dependent reduction
 //!   orders, so a parallel run produces byte-for-byte the output of the
 //!   serial loop regardless of thread count.
-//! * **Opt-out, not opt-in.** The workspace enables the `parallel` feature
-//!   by default; building with `--no-default-features` compiles the serial
-//!   loops only. Even with the feature on, work smaller than `min_chunk`
-//!   per thread runs serially to avoid spawn overhead.
-//! * **Reproducible sizing.** Thread count resolves as: programmatic
-//!   override ([`set_threads`]) → `CYCLOPS_THREADS` env var → the machine's
-//!   available parallelism. Benchmarks pin it for stable CI numbers.
+//! * **Width is a runtime value, width 1 is serial.** At width 1 (and for
+//!   work smaller than `min_chunk` per thread) every helper runs the plain
+//!   serial loop with no thread machinery, so `CYCLOPS_THREADS=1` is the
+//!   serial reference.
+//! * **Reproducible sizing.** The width resolves as: this thread's pin
+//!   ([`with_threads`]) → `CYCLOPS_THREADS` env var → the machine's
+//!   available parallelism. A pin is thread-local and the workers a helper
+//!   spawns inherit the caller's width, so concurrent callers never see
+//!   each other's pins and nested helpers keep their caller's width.
 //!
 //! The helpers:
 //!
 //! * [`par_map_indexed`] / [`par_map`] — map an index space or a slice,
 //!   results in input order;
-//! * [`par_argmax`] — first-wins argmax, the exhaustive grid scans;
 //! * [`par_for_each_mut`] — mutate each element of a slice in place, the
 //!   lockstep drivers whose items carry their own state (the scheduled
 //!   fleet's per-epoch session physics).
@@ -41,61 +42,56 @@
 
 #![deny(missing_docs)]
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
-/// `0` means "no override".
-static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Overrides the thread count for subsequent `par_*` calls (`0` clears the
-/// override). Values above the hardware parallelism are honoured — the
-/// serial/parallel equivalence tests rely on that to exercise real thread
-/// handoffs even on small CI runners.
-pub fn set_threads(n: usize) {
-    THREAD_OVERRIDE.store(n, Ordering::SeqCst);
+thread_local! {
+    /// This thread's pinned width; `0` means "no pin".
+    static PIN: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Runs `f` with the thread count pinned to `n`, restoring the previous
-/// setting afterwards (also on panic).
+/// Runs `f` with this thread's pool width pinned to `n` (`0` clears the
+/// pin), restoring the previous pin afterwards (also on panic).
+///
+/// The pin is thread-local: it never leaks into other threads, except the
+/// workers a `par_*` helper spawns from inside `f`, which inherit the
+/// caller's width. Values above the hardware parallelism are honoured —
+/// the thread-count invariance tests rely on that to exercise real thread
+/// handoffs even on small CI runners.
 pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     struct Restore(usize);
     impl Drop for Restore {
         fn drop(&mut self) {
-            THREAD_OVERRIDE.store(self.0, Ordering::SeqCst);
+            PIN.with(|p| p.set(self.0));
         }
     }
-    let _restore = Restore(THREAD_OVERRIDE.swap(n, Ordering::SeqCst));
+    let _restore = Restore(PIN.with(|p| p.replace(n)));
     f()
 }
 
-/// The thread count `par_*` calls will use: override → `CYCLOPS_THREADS` →
-/// available hardware parallelism. Always ≥ 1. With the `parallel` feature
-/// disabled this is 1 unconditionally.
+/// The pool width `par_*` calls on this thread will use: this thread's pin
+/// → `CYCLOPS_THREADS` (a positive integer; `0` or anything unparseable is
+/// ignored) → available hardware parallelism (1 when it cannot be
+/// determined). Always ≥ 1.
 pub fn max_threads() -> usize {
-    #[cfg(not(feature = "parallel"))]
-    {
-        1
+    let pin = PIN.with(Cell::get);
+    if pin > 0 {
+        return pin;
     }
-    #[cfg(feature = "parallel")]
-    {
-        let ovr = THREAD_OVERRIDE.load(Ordering::SeqCst);
-        if ovr > 0 {
-            return ovr;
-        }
-        if let Ok(v) = std::env::var("CYCLOPS_THREADS") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                if n > 0 {
-                    return n;
-                }
+    if let Ok(v) = std::env::var("CYCLOPS_THREADS") {
+        if let Ok(n) = v.trim().parse::<usize>() {
+            if n > 0 {
+                return n;
             }
         }
-        std::thread::available_parallelism().map_or(1, |n| n.get())
     }
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Whether the `parallel` feature is compiled in (the serial fallback is
-/// always available; this reports which path default builds take).
+/// Always `true`: the fork-join path is compiled into every build, and the
+/// pool width alone selects serial execution. Kept for perfbench's run
+/// stamp.
 pub const fn parallel_compiled() -> bool {
-    cfg!(feature = "parallel")
+    true
 }
 
 /// Mixes two `u64`s into one well-distributed seed (the SplitMix64 finalizer
@@ -124,39 +120,30 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let threads = n
-        .checked_div(min_chunk.max(1))
-        .unwrap_or(1)
-        .clamp(1, max_threads());
+    let width = max_threads();
+    let threads = (n / min_chunk.max(1)).clamp(1, width);
     if threads <= 1 {
         return (0..n).map(f).collect();
     }
-    #[cfg(not(feature = "parallel"))]
-    {
-        unreachable!("threads > 1 with the parallel feature disabled");
-    }
-    #[cfg(feature = "parallel")]
-    {
-        let chunk = n.div_ceil(threads);
-        let mut out: Vec<R> = Vec::with_capacity(n);
-        std::thread::scope(|s| {
-            let f = &f;
-            let handles: Vec<_> = (0..threads)
-                .map(|k| {
-                    s.spawn(move || {
-                        let lo = k * chunk;
-                        let hi = ((k + 1) * chunk).min(n);
-                        (lo..hi).map(f).collect::<Vec<R>>()
-                    })
+    let chunk = n.div_ceil(threads);
+    let mut out: Vec<R> = Vec::with_capacity(n);
+    std::thread::scope(|s| {
+        let f = &f;
+        let handles: Vec<_> = (0..threads)
+            .map(|k| {
+                s.spawn(move || {
+                    let lo = k * chunk;
+                    let hi = ((k + 1) * chunk).min(n);
+                    with_threads(width, || (lo..hi).map(f).collect::<Vec<R>>())
                 })
-                .collect();
-            for h in handles {
-                // Panics inside workers propagate to the caller.
-                out.extend(h.join().expect("cyclops-par worker panicked"));
-            }
-        });
-        out
-    }
+            })
+            .collect();
+        for h in handles {
+            // Panics inside workers propagate to the caller.
+            out.extend(h.join().expect("cyclops-par worker panicked"));
+        }
+    });
+    out
 }
 
 /// Maps a slice through `f`, returning results in input order. See
@@ -185,75 +172,25 @@ where
     F: Fn(&mut T) + Sync,
 {
     let n = items.len();
-    let threads = (n / min_chunk.max(1)).clamp(1, max_threads());
+    let width = max_threads();
+    let threads = (n / min_chunk.max(1)).clamp(1, width);
     if threads <= 1 {
         items.iter_mut().for_each(f);
         return;
     }
-    #[cfg(not(feature = "parallel"))]
-    {
-        unreachable!("threads > 1 with the parallel feature disabled");
-    }
-    #[cfg(feature = "parallel")]
-    {
-        let mut chunks = items.chunks_mut(n.div_ceil(threads));
-        let first = chunks.next().expect("threads > 1 implies a nonempty slice");
-        std::thread::scope(|s| {
-            let f = &f;
-            let handles: Vec<_> = chunks
-                .map(|c| s.spawn(move || c.iter_mut().for_each(f)))
-                .collect();
-            first.iter_mut().for_each(f);
-            for h in handles {
-                // Panics inside workers propagate to the caller.
-                h.join().expect("cyclops-par worker panicked");
-            }
-        });
-    }
-}
-
-/// First-wins argmax reduction over `0..n` by strictly-greater comparison —
-/// the reduction shape of every exhaustive grid scan in the workspace.
-///
-/// `eval` maps an index to a score. Returns `(index, score)` of the first
-/// index attaining the maximum (ties broken towards the lower index),
-/// exactly as the serial left-to-right `>` scan would. Work is chunked
-/// contiguously and each chunk's local first-wins maximum is combined in
-/// chunk order, which preserves the serial tie-breaking bit-for-bit.
-pub fn par_argmax<F>(n: usize, min_chunk: usize, eval: F) -> Option<(usize, f64)>
-where
-    F: Fn(usize) -> f64 + Sync,
-{
-    if n == 0 {
-        return None;
-    }
-    // One result per chunk, combined in order: identical to the serial scan.
-    let threads = n
-        .checked_div(min_chunk.max(1))
-        .unwrap_or(1)
-        .clamp(1, max_threads());
-    let chunk = n.div_ceil(threads);
-    let chunk_best: Vec<(usize, f64)> = par_map_indexed(threads, 1, |k| {
-        let lo = k * chunk;
-        let hi = ((k + 1) * chunk).min(n);
-        let mut best_i = lo;
-        let mut best_v = f64::NEG_INFINITY;
-        for i in lo..hi {
-            let v = eval(i);
-            if v > best_v {
-                best_v = v;
-                best_i = i;
-            }
+    let mut chunks = items.chunks_mut(n.div_ceil(threads));
+    let first = chunks.next().expect("threads > 1 implies a nonempty slice");
+    std::thread::scope(|s| {
+        let f = &f;
+        let handles: Vec<_> = chunks
+            .map(|c| s.spawn(move || with_threads(width, || c.iter_mut().for_each(f))))
+            .collect();
+        first.iter_mut().for_each(f);
+        for h in handles {
+            // Panics inside workers propagate to the caller.
+            h.join().expect("cyclops-par worker panicked");
         }
-        (best_i, best_v)
     });
-    let mut best = (0usize, f64::NEG_INFINITY);
-    for &(i, v) in &chunk_best {
-        if v > best.1 {
-            best = (i, v);
-        }
-    }
-    Some(best)
 }
 
 #[cfg(test)]
@@ -261,11 +198,30 @@ mod tests {
     use super::*;
     use std::sync::{Mutex, MutexGuard};
 
-    /// Serializes the tests that change the process-wide pool width, so
-    /// `with_threads_restores` never observes another test's override.
-    fn width_lock() -> MutexGuard<'static, ()> {
-        static WIDTH: Mutex<()> = Mutex::new(());
-        WIDTH.lock().unwrap_or_else(|e| e.into_inner())
+    /// Serializes the tests that set `CYCLOPS_THREADS` or read the unpinned
+    /// width, since the environment is process-wide.
+    fn env_lock() -> MutexGuard<'static, ()> {
+        static ENV: Mutex<()> = Mutex::new(());
+        ENV.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Runs `f` with `CYCLOPS_THREADS` set to `v` (`None`: unset), then
+    /// restores the previous value.
+    fn with_env<R>(v: Option<&str>, f: impl FnOnce() -> R) -> R {
+        const KEY: &str = "CYCLOPS_THREADS";
+        let prev = std::env::var_os(KEY);
+        let set = |v: Option<&std::ffi::OsStr>| match v {
+            Some(v) => std::env::set_var(KEY, v),
+            None => std::env::remove_var(KEY),
+        };
+        set(v.map(std::ffi::OsStr::new));
+        let out = f();
+        set(prev.as_deref());
+        out
+    }
+
+    fn hardware_width() -> usize {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
     }
 
     #[test]
@@ -276,7 +232,6 @@ mod tests {
 
     #[test]
     fn map_matches_serial_bitwise_for_floats() {
-        let _width = width_lock();
         let f = |i: usize| ((i as f64) * 0.1).sin().exp();
         let serial: Vec<f64> = (0..10_000).map(f).collect();
         let parallel = with_threads(8, || par_map_indexed(10_000, 16, f));
@@ -294,31 +249,7 @@ mod tests {
     }
 
     #[test]
-    fn argmax_matches_serial_first_wins() {
-        let _width = width_lock();
-        // A landscape with an exact tie: first index must win at any
-        // thread count.
-        let vals: Vec<f64> = (0..997)
-            .map(|i| ((i % 91) as f64) - ((i / 200) as f64) * 0.0)
-            .collect();
-        let serial = {
-            let mut best = (0usize, f64::NEG_INFINITY);
-            for (i, &v) in vals.iter().enumerate() {
-                if v > best.1 {
-                    best = (i, v);
-                }
-            }
-            best
-        };
-        for t in [1, 2, 3, 8, 32] {
-            let got = with_threads(t, || par_argmax(vals.len(), 7, |i| vals[i])).unwrap();
-            assert_eq!(got, serial, "threads={t}");
-        }
-    }
-
-    #[test]
     fn for_each_mut_matches_serial_bitwise() {
-        let _width = width_lock();
         // A stateful per-item recurrence, as a session stepping its slots.
         let step = |x: &mut (u64, f64)| {
             for _ in 0..50 {
@@ -344,9 +275,8 @@ mod tests {
 
     #[test]
     fn for_each_mut_propagates_worker_panics() {
-        let _width = width_lock();
         // The last item lands in a worker chunk whenever the pool is wider
-        // than one thread; the serial build panics on the caller directly.
+        // than one thread.
         let mut items: Vec<usize> = (0..16).collect();
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             with_threads(4, || {
@@ -361,13 +291,73 @@ mod tests {
 
     #[test]
     fn with_threads_restores() {
-        let _width = width_lock();
-        set_threads(0);
+        let _env = env_lock();
         let before = max_threads();
-        with_threads(3, || {
-            assert_eq!(max_threads(), if parallel_compiled() { 3 } else { 1 })
-        });
+        with_threads(3, || assert_eq!(max_threads(), 3));
         assert_eq!(max_threads(), before);
+    }
+
+    #[test]
+    fn concurrent_pins_stay_on_their_own_thread() {
+        let _env = env_lock();
+        let before = max_threads();
+        // Both threads hold their pin across both barriers, so each reads
+        // its width while the other's pin is live.
+        let gate = std::sync::Barrier::new(2);
+        let seen = std::thread::scope(|s| {
+            let run = |n: usize| {
+                let gate = &gate;
+                s.spawn(move || {
+                    with_threads(n, || {
+                        gate.wait();
+                        let w = max_threads();
+                        gate.wait();
+                        w
+                    })
+                })
+            };
+            let (a, b) = (run(8), run(1));
+            [a.join().unwrap(), b.join().unwrap()]
+        });
+        assert_eq!(seen, [8, 1], "each thread must see its own pin");
+        assert_eq!(max_threads(), before, "pins must not leak");
+    }
+
+    #[test]
+    fn workers_inherit_the_callers_width() {
+        let widths = with_threads(3, || par_map_indexed(6, 1, |_| max_threads()));
+        assert_eq!(widths, vec![3; 6]);
+        let mut items = vec![0usize; 6];
+        with_threads(3, || {
+            par_for_each_mut(&mut items, 1, |w| *w = max_threads())
+        });
+        assert_eq!(items, vec![3; 6]);
+    }
+
+    #[test]
+    fn pin_beats_env() {
+        let _env = env_lock();
+        with_env(Some("5"), || {
+            assert_eq!(max_threads(), 5);
+            assert_eq!(with_threads(2, max_threads), 2);
+        });
+    }
+
+    #[test]
+    fn env_one_is_serial() {
+        let _env = env_lock();
+        with_env(Some("1"), || assert_eq!(max_threads(), 1));
+    }
+
+    #[test]
+    fn zero_or_unparseable_env_falls_through_to_hardware() {
+        let _env = env_lock();
+        for v in ["0", "", "four", "-2", "2.5"] {
+            with_env(Some(v), || {
+                assert_eq!(max_threads(), hardware_width(), "{v:?}")
+            });
+        }
+        with_env(None, || assert_eq!(max_threads(), hardware_width()));
     }
 
     #[test]
@@ -388,6 +378,5 @@ mod tests {
     #[test]
     fn empty_input() {
         assert!(par_map_indexed(0, 1, |i| i).is_empty());
-        assert!(par_argmax(0, 1, |_| 0.0).is_none());
     }
 }

@@ -24,14 +24,10 @@
 //!
 //! ## Parallelism
 //!
-//! With the default `parallel` feature, the hot loops — Jacobian columns in
-//! [`jacobian::numeric_jacobian`], independent restarts in
-//! [`nelder_mead::nelder_mead_multistart`] /
-//! [`pattern::pattern_search_multistart`], and the 2-D bootstrap grid in
-//! [`pattern::grid_scan2_sync`] — fan out over [`cyclops_par`] worker
-//! threads. Every parallel path is **bit-identical** to the serial one
-//! (index-ordered collection, serial tie-breaking), so
-//! `--no-default-features` builds produce exactly the same numbers.
+//! The Jacobian columns of [`jacobian::numeric_jacobian`] — the inner loop of
+//! both LM fits — fan out over [`cyclops_par`] worker threads. The result is
+//! **bit-identical** at every pool width (index-ordered collection), so
+//! `CYCLOPS_THREADS=1` reproduces exactly the same numbers serially.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -47,27 +43,7 @@ pub mod stats;
 pub use jacobian::{numeric_jacobian, numeric_jacobian_into, Residual};
 pub use linalg::DMat;
 pub use lm::{levenberg_marquardt, LmOptions, LmReport, LmStatus};
-pub use nelder_mead::{nelder_mead, nelder_mead_multistart, NmOptions, NmReport};
-pub use pattern::{
-    axis_scan, grid_scan2, grid_scan2_sync, pattern_search, pattern_search_multistart,
-    PatternOptions, PatternReport,
-};
+pub use nelder_mead::{nelder_mead, NmOptions, NmReport};
+pub use pattern::{axis_scan, grid_scan2, pattern_search, PatternOptions, PatternReport};
 pub use scalar::{bisect_threshold, golden_min};
 pub use stats::ResidualStats;
-
-/// Scalar objectives accepted by the parallel multi-start drivers.
-///
-/// With the `parallel` feature (the default) the objective must be [`Sync`]
-/// so restarts can run on worker threads; serial builds drop that bound.
-/// Blanket-implemented — callers never name it.
-#[cfg(feature = "parallel")]
-pub trait ScalarObjective: Fn(&[f64]) -> f64 + Sync {}
-#[cfg(feature = "parallel")]
-impl<F: Fn(&[f64]) -> f64 + Sync> ScalarObjective for F {}
-
-/// Scalar objectives accepted by the parallel multi-start drivers
-/// (serial build: no [`Sync`] bound).
-#[cfg(not(feature = "parallel"))]
-pub trait ScalarObjective: Fn(&[f64]) -> f64 {}
-#[cfg(not(feature = "parallel"))]
-impl<F: Fn(&[f64]) -> f64> ScalarObjective for F {}

@@ -82,8 +82,8 @@ fn cost_of(r: &[f64]) -> f64 {
 /// `f` returns the residual vector; its length must be constant. The Jacobian
 /// is computed numerically ([`crate::jacobian::numeric_jacobian`]), matching
 /// how one would drive `scipy.optimize.least_squares` without analytic
-/// derivatives. Under the `parallel` feature (the default) the Jacobian
-/// columns are evaluated concurrently — bit-identical to the serial path —
+/// derivatives. The Jacobian columns are evaluated on the `cyclops_par`
+/// pool — bit-identical to the serial path at any width —
 /// which is where the solver spends nearly all of its time on the Cyclops
 /// fits. The Jacobian, normal matrix and step vectors live in scratch
 /// buffers reused across iterations, so the per-iteration allocations are

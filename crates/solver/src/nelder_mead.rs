@@ -167,44 +167,6 @@ where
     }
 }
 
-/// Runs [`nelder_mead`] from every start in `starts` and returns the best
-/// result (lowest objective; ties broken by start index).
-///
-/// Under the `parallel` feature the restarts run concurrently; because each
-/// run is independent and the winner is selected by an index-ordered scan,
-/// the result is bit-identical to running the starts serially. `n_evals` in
-/// the report is the total across all restarts.
-///
-/// # Panics
-/// Panics if `starts` is empty.
-pub fn nelder_mead_multistart<F>(f: &F, starts: &[Vec<f64>], opts: &NmOptions) -> NmReport
-where
-    F: crate::ScalarObjective,
-{
-    assert!(!starts.is_empty(), "need at least one start");
-    let run = |x0: &Vec<f64>| nelder_mead(|x| f(x), x0, opts);
-    #[cfg(feature = "parallel")]
-    let reports = cyclops_par::par_map(starts, 1, run);
-    #[cfg(not(feature = "parallel"))]
-    let reports: Vec<NmReport> = starts.iter().map(run).collect();
-
-    let total_evals: usize = reports.iter().map(|r| r.n_evals).sum();
-    let mut best = None::<NmReport>;
-    for rep in reports {
-        // MSRV 1.75: spelled as a match rather than `Option::is_none_or`.
-        let take = match &best {
-            None => true,
-            Some(b) => rep.value < b.value,
-        };
-        if take {
-            best = Some(rep);
-        }
-    }
-    let mut best = best.unwrap();
-    best.n_evals = total_evals;
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,41 +225,6 @@ mod tests {
             },
         );
         assert!(rep.n_evals <= 12); // budget plus the move in flight
-    }
-
-    #[test]
-    fn multistart_escapes_local_minimum() {
-        // Double well: basin at x=-2 (value 1) and global at x=+2 (value 0).
-        let f = |x: &[f64]| {
-            let a = (x[0] + 2.0).powi(2) + 1.0;
-            let b = (x[0] - 2.0).powi(2);
-            a.min(b)
-        };
-        let single = nelder_mead(f, &[-3.0], &NmOptions::default());
-        assert!((single.params[0] + 2.0).abs() < 1e-2, "stuck well expected");
-        let starts = vec![vec![-3.0], vec![0.5], vec![3.0]];
-        let multi = nelder_mead_multistart(&f, &starts, &NmOptions::default());
-        assert!((multi.params[0] - 2.0).abs() < 1e-3, "{:?}", multi.params);
-        assert!(multi.n_evals > single.n_evals);
-    }
-
-    #[test]
-    fn multistart_bit_identical_across_thread_counts() {
-        let f = |x: &[f64]| {
-            (1.0 - x[0]).powi(2) + 100.0 * (x[1] - x[0] * x[0]).powi(2) + x[0].sin() * 0.01
-        };
-        let starts: Vec<Vec<f64>> = (0..6)
-            .map(|i| vec![-2.0 + i as f64 * 0.8, 1.0 - i as f64 * 0.3])
-            .collect();
-        let opts = NmOptions::default();
-        let reference = cyclops_par::with_threads(1, || nelder_mead_multistart(&f, &starts, &opts));
-        for threads in [2, 3, 8] {
-            let rep =
-                cyclops_par::with_threads(threads, || nelder_mead_multistart(&f, &starts, &opts));
-            assert_eq!(rep.params, reference.params, "threads={threads}");
-            assert_eq!(rep.value.to_bits(), reference.value.to_bits());
-            assert_eq!(rep.n_evals, reference.n_evals);
-        }
     }
 
     #[test]

@@ -217,112 +217,6 @@ where
     }
 }
 
-/// Runs [`pattern_search`] from every start in `starts` and returns the best
-/// result (highest objective; ties broken by start index).
-///
-/// Under the `parallel` feature the restarts run concurrently; each run is
-/// independent and the winner is selected by an index-ordered scan, so the
-/// result is bit-identical to the serial execution. `n_evals` is the total
-/// across restarts.
-///
-/// # Panics
-/// Panics if `starts` is empty.
-pub fn pattern_search_multistart<F>(
-    f: &F,
-    starts: &[Vec<f64>],
-    opts: &PatternOptions,
-) -> PatternReport
-where
-    F: crate::ScalarObjective,
-{
-    assert!(!starts.is_empty(), "need at least one start");
-    let run = |x0: &Vec<f64>| pattern_search(|x| f(x), x0, opts);
-    #[cfg(feature = "parallel")]
-    let reports = cyclops_par::par_map(starts, 1, run);
-    #[cfg(not(feature = "parallel"))]
-    let reports: Vec<PatternReport> = starts.iter().map(run).collect();
-
-    let total_evals: usize = reports.iter().map(|r| r.n_evals).sum();
-    let mut best = None::<PatternReport>;
-    for rep in reports {
-        // MSRV 1.75: spelled as a match rather than `Option::is_none_or`.
-        let take = match &best {
-            None => true,
-            Some(b) => rep.value > b.value,
-        };
-        if take {
-            best = Some(rep);
-        }
-    }
-    let mut best = best.unwrap();
-    best.n_evals = total_evals;
-    best
-}
-
-/// [`grid_scan2`] for `Sync` objectives: rows of the 2-D grid are evaluated
-/// on worker threads under the `parallel` feature.
-///
-/// The result is bit-identical to [`grid_scan2`]: every grid point sees the
-/// same inputs, and the row results are folded in row order with the same
-/// strict-`>` comparison, reproducing the serial first-wins tie-breaking.
-pub fn grid_scan2_sync<F>(
-    f: &F,
-    x0: &[f64],
-    dims: (usize, usize),
-    lower: (f64, f64),
-    upper: (f64, f64),
-    points_per_axis: usize,
-) -> PatternReport
-where
-    F: crate::ScalarObjective,
-{
-    assert!(points_per_axis >= 2);
-    let (d0, d1) = dims;
-    let mut x = x0.to_vec();
-    let best0 = f(&x);
-    let step =
-        |lo: f64, hi: f64, k: usize| lo + (hi - lo) * k as f64 / (points_per_axis - 1) as f64;
-
-    // Each row scans d1 serially and reports its first-wins row maximum.
-    let scan_row = |i: usize| -> (f64, usize) {
-        let mut cand = x0.to_vec();
-        cand[d0] = step(lower.0, upper.0, i);
-        let mut row_best = f64::NEG_INFINITY;
-        let mut row_j = 0usize;
-        for j in 0..points_per_axis {
-            cand[d1] = step(lower.1, upper.1, j);
-            let v = f(&cand);
-            if v > row_best {
-                row_best = v;
-                row_j = j;
-            }
-        }
-        (row_best, row_j)
-    };
-
-    #[cfg(feature = "parallel")]
-    let rows = cyclops_par::par_map_indexed(points_per_axis, 1, scan_row);
-    #[cfg(not(feature = "parallel"))]
-    let rows: Vec<(f64, usize)> = (0..points_per_axis).map(scan_row).collect();
-
-    // Fold rows in order with the serial strict-> comparison.
-    let mut best = best0;
-    let mut best_pair = (x[d0], x[d1]);
-    for (i, &(v, j)) in rows.iter().enumerate() {
-        if v > best {
-            best = v;
-            best_pair = (step(lower.0, upper.0, i), step(lower.1, upper.1, j));
-        }
-    }
-    x[d0] = best_pair.0;
-    x[d1] = best_pair.1;
-    PatternReport {
-        params: x,
-        value: best,
-        n_evals: 1 + points_per_axis * points_per_axis,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -378,39 +272,6 @@ mod tests {
         let rep = axis_scan(f, &[0.0, 0.0], &[-10.0, -10.0], &[10.0, 10.0], 101);
         assert!((rep.params[0] - 3.0).abs() < 0.11, "{:?}", rep.params);
         assert!((rep.params[1] + 4.0).abs() < 0.11);
-    }
-
-    #[test]
-    fn multistart_pattern_finds_global_peak() {
-        // Two peaks; the one at (4, 4) is taller but needs the right start.
-        let f = |x: &[f64]| {
-            let p1 = (-(x[0] + 4.0).powi(2) - (x[1] + 4.0).powi(2)).exp();
-            let p2 = 2.0 * (-(x[0] - 4.0).powi(2) - (x[1] - 4.0).powi(2)).exp();
-            p1 + p2
-        };
-        let opts = PatternOptions::uniform(2, -10.0, 10.0, 1.0);
-        let starts = vec![vec![-4.5, -4.5], vec![0.0, 0.0], vec![4.5, 4.5]];
-        let rep = pattern_search_multistart(&f, &starts, &opts);
-        assert!((rep.params[0] - 4.0).abs() < 1e-2, "{:?}", rep.params);
-        assert!((rep.params[1] - 4.0).abs() < 1e-2);
-    }
-
-    #[test]
-    fn grid_scan2_sync_bit_identical_to_serial() {
-        // Plateaued objective with exact ties to stress tie-breaking.
-        let f = |x: &[f64]| {
-            let d2 = (x[0] - 3.0).powi(2) + (x[1] + 4.0).powi(2);
-            ((4.0 - d2).max(0.0) * 4.0).floor()
-        };
-        let serial = grid_scan2(f, &[0.0, 0.0], (0, 1), (-10.0, -10.0), (10.0, 10.0), 37);
-        for threads in [1, 2, 3, 8] {
-            let par = cyclops_par::with_threads(threads, || {
-                grid_scan2_sync(&f, &[0.0, 0.0], (0, 1), (-10.0, -10.0), (10.0, 10.0), 37)
-            });
-            assert_eq!(par.params, serial.params, "threads={threads}");
-            assert_eq!(par.value.to_bits(), serial.value.to_bits());
-            assert_eq!(par.n_evals, serial.n_evals);
-        }
     }
 
     #[test]
