@@ -22,7 +22,6 @@
 //! physical content of the lemma.
 
 use cyclops_geom::pose::Pose;
-use cyclops_geom::ray::Ray;
 use cyclops_geom::rotation::axis_angle;
 use cyclops_geom::vec3::{v3, Vec3};
 use cyclops_optics::beam::BeamState;
@@ -234,13 +233,6 @@ impl Deployment {
         let ray_body = self.tx.output_ray(&mut self.rng)?;
         let ray_world = self.tx_pose.apply_ray(&ray_body);
         Some(self.design.make_beam(ray_world))
-    }
-
-    /// The RX imaginary beam (time-reversed collimator launch) in world
-    /// frame, with galvo noise.
-    pub fn rx_imaginary_ray(&mut self) -> Option<Ray> {
-        let ray_body = self.rx.output_ray(&mut self.rng)?;
-        Some(self.rx_world_pose().apply_ray(&ray_body))
     }
 
     /// The reading floor of the power meter / SFP RSSI (dBm): anything

@@ -183,11 +183,6 @@ impl KspaceRig {
         GalvoParams::nominal().transformed(&measured_pose)
     }
 
-    /// Galvo truth expressed in K-space (white-box analysis only).
-    pub fn true_kspace_params(&self) -> GalvoParams {
-        self.galvo.truth.transformed(&self.rig_pose)
-    }
-
     /// Fires the beam at the given voltages and reads the board hit point
     /// (with measurement noise). `None` if the beam misses the board plane.
     pub fn measure_hit(&mut self, v1: f64, v2: f64) -> Option<(f64, f64)> {

@@ -400,12 +400,14 @@ fn cmd_fleet(mut args: Vec<String>) -> Result<(), CliError> {
         }
     };
     // Validate everything before commissioning, which takes seconds.
-    let fleet = FleetConfig::builder()
-        .n_sessions(n_sessions)
-        .duration_s(duration_s)
-        .seed(seed)
-        .environment(env)
-        .build()?;
+    let fleet = FleetConfig {
+        n_sessions,
+        duration_s,
+        seed,
+        environment: Some(env),
+        ..FleetConfig::default()
+    };
+    fleet.validate()?;
 
     let mut pools = Vec::with_capacity(profiles.len());
     for (i, hw) in profiles.iter().enumerate() {

@@ -31,8 +31,7 @@ pub use cyclops_vrh::traces::{HeadTrace, TraceGenConfig};
 pub use cyclops_vrh::tracking::{TrackerConfig, TrackingReport, VrhTracker};
 
 pub use cyclops_link::channel::{
-    EnvChannel, EnvStage, Environment, FogStage, HumanOccluderStage, RainStage, RfChannel,
-    ScintillationStage,
+    EnvStage, Environment, FogStage, HumanOccluderStage, RainStage, RfChannel, ScintillationStage,
 };
 pub use cyclops_link::control::{
     ArqConfig, ControlLink, ControlPlaneConfig, ControlStats, DeadReckoningConfig, FaultPlan,
@@ -40,9 +39,8 @@ pub use cyclops_link::control::{
 };
 pub use cyclops_link::engine::{
     run_fleet, run_fleet_mixed, EngineConfig, EngineConfigError, EngineSlot, FallbackPolicy,
-    FirstReport, FleetConfig, FleetConfigBuilder, FleetPool, FleetRollup, FleetRollupAcc,
-    FleetSummary, LinkPolicy, LinkSession, RfStats, SessionBuilder, SessionReport, SessionStats,
-    TxInstallation,
+    FirstReport, FleetConfig, FleetPool, FleetRollup, FleetSummary, LinkPolicy, LinkSession,
+    RfStats, SessionBuilder, SessionReport, SessionStats, TxInstallation,
 };
 pub use cyclops_link::handover::{HandoverSystem, Occluder, TxUnit};
 pub use cyclops_link::registry::{

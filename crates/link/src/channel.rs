@@ -719,45 +719,6 @@ impl Environment {
         }
         env
     }
-
-    /// Wraps a [`ChannelModel`](crate::engine::ChannelModel) so standalone
-    /// channel users inherit the stack: the wrapper attenuates the received
-    /// power, then delegates to the inner channel's math.
-    pub fn wrap(self, inner: FsoChannel) -> EnvChannel {
-        EnvChannel { env: self, inner }
-    }
-}
-
-/// A [`ChannelModel`](crate::engine::ChannelModel) wrapped in an
-/// [`Environment`]: every evaluation first applies the stack's attenuation
-/// at the given slot time and path, then runs the inner power→BER math —
-/// the standalone counterpart of the engine's in-loop application.
-#[derive(Debug, Clone)]
-pub struct EnvChannel {
-    /// The environment stack.
-    pub env: Environment,
-    /// The wrapped clear-air channel.
-    pub inner: FsoChannel,
-}
-
-impl EnvChannel {
-    /// Q factor after environmental attenuation.
-    pub fn q_factor(&mut self, t_s: f64, path_m: f64, rx_dbm: f64) -> f64 {
-        let p = self.env.apply_dbm(t_s, path_m, rx_dbm);
-        self.inner.q_factor(p)
-    }
-
-    /// Bit-error rate after environmental attenuation.
-    pub fn ber(&mut self, t_s: f64, path_m: f64, rx_dbm: f64) -> f64 {
-        let p = self.env.apply_dbm(t_s, path_m, rx_dbm);
-        self.inner.ber(p)
-    }
-
-    /// Frame success probability after environmental attenuation.
-    pub fn frame_success_prob(&mut self, t_s: f64, path_m: f64, rx_dbm: f64, n_bits: u64) -> f64 {
-        let p = self.env.apply_dbm(t_s, path_m, rx_dbm);
-        self.inner.frame_success_prob(p, n_bits)
-    }
 }
 
 #[cfg(test)]

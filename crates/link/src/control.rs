@@ -227,7 +227,7 @@ impl ControlStats {
 /// slot whenever the quotient lands just below an integer — e.g.
 /// `0.3 / 1e-3` is `299.999…` in binary floating point, so a 300-slot run
 /// would poll only 299 slots. The engine's slot loop rounds
-/// ([`crate::engine::LinkSession::run_each`]); drivers stepping a
+/// ([`crate::engine::LinkSession::run`]); drivers stepping a
 /// [`ControlLink`] by hand should use this for the same contract.
 pub fn slots_in(run_s: f64, slot_s: f64) -> usize {
     (run_s / slot_s).round() as usize

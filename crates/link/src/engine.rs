@@ -46,25 +46,29 @@
 //! committed goldens.
 //!
 //! On top of single sessions the engine runs **multi-session workloads**
-//! ([`run_fleet`]): N independently-seeded headsets, each against its own
-//! clone of M TX installations, reduced in session-index order into a
-//! [`FleetSummary`].
+//! ([`run_fleet`], [`run_fleet_mixed`] and
+//! [`run_fleet_scheduled`](crate::sched::run_fleet_scheduled)): N
+//! independently-seeded headsets, each against its own clone of M TX
+//! installations, reduced in session-index order into a [`FleetSummary`].
+//! All three drivers build, step and report each session through one fleet
+//! lane, so a session's physics is the same whichever driver ran it.
 //!
-//! Sessions are configured through validating builders —
-//! [`LinkSession::builder`] / [`FleetConfig::builder`] — which check the
-//! configuration up front (`Result<_, EngineConfigError>`) and inject
-//! [`crate::telemetry`] observers at construction time. Telemetry is pure
-//! observation: events are emitted only after every random draw of the slot
-//! has happened, so attaching a sink cannot move the engine's RNG or float
-//! streams (pinned by the `engine_digest` identity checks).
+//! Sessions are configured through the validating [`LinkSession::builder`],
+//! which checks the configuration up front (`Result<_, EngineConfigError>`)
+//! and injects [`crate::telemetry`] observers at construction time; fleets
+//! through a plain [`FleetConfig`] checked by [`FleetConfig::validate`].
+//! [`EngineConfig::timing`] picks the single-TX or the multi-TX timing
+//! model. Telemetry is pure observation: events are emitted only after every
+//! random draw of the slot has happened, so attaching a sink cannot move the
+//! engine's RNG or float streams (pinned by the `engine_digest` identity
+//! checks).
 
 use crate::channel::{FsoChannel, RfChannel};
 use crate::control::{unit, ControlLink, ControlPlaneConfig, ControlStats};
 use crate::handover::Occluder;
 use crate::sfp_state::SfpLinkState;
 use crate::telemetry::{
-    CommandSource, DropReason, ScopedTimer, SessionTelemetry, Telemetry, TelemetryEvent,
-    TelemetrySink, VirtualClock,
+    CommandSource, DropReason, SessionTelemetry, Telemetry, TelemetryEvent, TelemetrySink,
 };
 use cyclops_core::deployment::Deployment;
 use cyclops_core::mapping::noisy_report_of;
@@ -120,41 +124,26 @@ pub fn run_slots<S: SlotSession>(session: &mut S, n_slots: usize) -> Vec<S::Reco
     out
 }
 
-/// Streaming form of [`run_slots`]: hands each record to `f` in slot order
-/// instead of materializing the vector. Aggregating consumers (the fleet
-/// runner folds a handful of sums per session) use this to keep a session's
-/// memory footprint independent of its duration.
-pub fn fold_slots<S: SlotSession>(session: &mut S, n_slots: usize, mut f: impl FnMut(S::Record)) {
-    for k in 0..n_slots {
-        f(session.step_slot(k));
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Session configuration
 // ---------------------------------------------------------------------------
 
-/// When a TP command becomes optically effective.
+/// The session's timing and accounting model: the single-TX simulator's
+/// or the multi-TX handover simulator's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CommandTiming {
-    /// Queued and applied after control-channel latency + TP compute + DAC
-    /// and mirror settle — the single-TX simulator's timing model.
-    Scheduled,
-    /// Applied the moment the report is processed — the multi-TX
-    /// simulator's simplification (its outages are dominated by the SFP
-    /// re-lock, not steering latency).
-    Immediate,
-}
-
-/// When the true headset pose is sampled and written into the unit worlds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PoseTiming {
-    /// Sampled per report, backdated to the report time, on the active
-    /// unit; plus once at slot end on every unit — the single-TX model.
-    AtReport,
-    /// Sampled once at slot start and synced to every unit — the multi-TX
-    /// model.
-    SlotStart,
+pub enum Timing {
+    /// The single-TX model (Figs 13–15). A TP command is queued and applied
+    /// after control-channel latency + TP compute + DAC and mirror settle.
+    /// The true pose is sampled per report (backdated to the report time)
+    /// on the active unit, plus once at slot end on every unit. Goodput is
+    /// accounted through the BER channel, and the true linear/angular
+    /// speeds are tracked per slot (one extra motion sample per run).
+    SingleTx,
+    /// The multi-TX model. A TP command applies the moment the report is
+    /// processed (outages are dominated by the SFP re-lock, not steering
+    /// latency). The true pose is sampled once at slot start and synced to
+    /// every unit. Neither goodput nor speeds are accounted.
+    MultiTx,
 }
 
 /// Full configuration of a [`LinkSession`].
@@ -173,18 +162,10 @@ pub struct EngineConfig {
     /// reckoning, re-acquisition). `None` preserves the legacy path —
     /// i.i.d. report loss drawn from the deployment RNG — bit-exactly.
     pub control: Option<ControlPlaneConfig>,
-    /// Command timing model.
-    pub command_timing: CommandTiming,
-    /// Pose sampling model.
-    pub pose_timing: PoseTiming,
-    /// Account goodput through the BER channel (single-TX records use it;
-    /// the multi-TX records don't).
-    pub goodput: bool,
+    /// Timing and accounting model.
+    pub timing: Timing,
     /// Gate received power on occluder line of sight.
     pub los_gating: bool,
-    /// Track per-slot true linear/angular speeds (costs one extra motion
-    /// sample at the start of each run).
-    pub track_speeds: bool,
     /// Hybrid FSO/RF fallback. [`FallbackPolicy::Off`] (the default) skips
     /// the fallback path entirely and preserves the pre-fallback slot
     /// stream bit-exactly.
@@ -192,8 +173,8 @@ pub struct EngineConfig {
 }
 
 impl Default for EngineConfig {
-    /// The single-TX profile: 1 ms slots, scheduled commands, per-report
-    /// pose sampling, goodput accounting, no occluder gating.
+    /// The single-TX profile: 1 ms slots, [`Timing::SingleTx`], no occluder
+    /// gating.
     fn default() -> Self {
         EngineConfig {
             slot_s: 1e-3,
@@ -201,27 +182,20 @@ impl Default for EngineConfig {
             frame_bits: 12_000,
             pause_on_outage: false,
             control: None,
-            command_timing: CommandTiming::Scheduled,
-            pose_timing: PoseTiming::AtReport,
-            goodput: true,
+            timing: Timing::SingleTx,
             los_gating: false,
-            track_speeds: true,
             fallback: FallbackPolicy::Off,
         }
     }
 }
 
 impl EngineConfig {
-    /// The multi-TX profile: slot-start pose sync to every unit, immediate
-    /// commands, line-of-sight gating, no goodput/speed accounting.
+    /// The multi-TX profile: [`Timing::MultiTx`] with line-of-sight gating.
     pub fn multi_tx(tracker: TrackerConfig) -> EngineConfig {
         EngineConfig {
             tracker,
-            command_timing: CommandTiming::Immediate,
-            pose_timing: PoseTiming::SlotStart,
-            goodput: false,
+            timing: Timing::MultiTx,
             los_gating: true,
-            track_speeds: false,
             ..EngineConfig::default()
         }
     }
@@ -232,7 +206,7 @@ impl EngineConfig {
         if !(self.slot_s.is_finite() && self.slot_s > 0.0) {
             return Err(EngineConfigError::InvalidSlot);
         }
-        if self.goodput && self.frame_bits == 0 {
+        if self.timing == Timing::SingleTx && self.frame_bits == 0 {
             return Err(EngineConfigError::ZeroFrameBits);
         }
         let is_prob = |p: f64| p.is_finite() && (0.0..=1.0).contains(&p);
@@ -306,7 +280,8 @@ pub enum EngineConfigError {
     NoUnits,
     /// `slot_s` is not finite and positive.
     InvalidSlot,
-    /// Goodput accounting is on but `frame_bits` is zero.
+    /// Goodput accounting is on ([`Timing::SingleTx`]) but `frame_bits` is
+    /// zero.
     ZeroFrameBits,
     /// A [`TrackerConfig`] field is out of range.
     InvalidTracker(&'static str),
@@ -1051,8 +1026,8 @@ const _: () = assert!(std::mem::align_of::<EngineSlot>() == 8);
 
 /// The full-physics slot session: motion × tracking × TP × optics × data
 /// plane against one or more TX installations. Every behavioral axis —
-/// command timing, pose timing, control plane, LOS gating, TX selection —
-/// is a configuration, so the single-TX simulator, the multi-TX handover
+/// timing model, control plane, LOS gating, TX selection — is a
+/// configuration, so the single-TX simulator, the multi-TX handover
 /// simulator and the fleet workloads are all this one type.
 #[derive(Debug)]
 pub struct LinkSession<M: Motion, S: TxSelector> {
@@ -1100,10 +1075,6 @@ pub struct LinkSession<M: Motion, S: TxSelector> {
     /// Control-stats snapshot at the end of the previous slot, for
     /// synthesizing per-slot retransmit/drop deltas.
     prev_ctrl: ControlStats,
-    /// Monotonic virtual clock (simulation time) for scoped timers.
-    clock: VirtualClock,
-    /// Timer opened at the last SFP down-transition.
-    outage_timer: Option<ScopedTimer>,
     /// Global slot index across `run` calls (telemetry event numbering).
     slot_idx: u64,
 }
@@ -1204,8 +1175,6 @@ impl<M: Motion, S: TxSelector> LinkSession<M, S> {
             env,
             tele: telemetry,
             prev_ctrl: ControlStats::default(),
-            clock: VirtualClock::default(),
-            outage_timer: None,
             slot_idx: 0,
         }
     }
@@ -1228,11 +1197,6 @@ impl<M: Motion, S: TxSelector> LinkSession<M, S> {
     /// The occluders.
     pub fn occluders_mut(&mut self) -> &mut [Occluder] {
         &mut self.occluders
-    }
-
-    /// The TX selector.
-    pub fn selector_mut(&mut self) -> &mut S {
-        &mut self.selector
     }
 
     /// The session configuration.
@@ -1277,37 +1241,19 @@ impl<M: Motion, S: TxSelector> LinkSession<M, S> {
     /// Runs for `duration_s`, returning one record per slot. Flushes the
     /// telemetry sink (if any) at the end of the run.
     pub fn run(&mut self, duration_s: f64) -> Vec<EngineSlot> {
-        let mut recs = Vec::new();
-        self.run_each(duration_s, |r| recs.push(r));
+        let n_slots = (duration_s / self.cfg.slot_s).round() as usize;
+        self.begin_run();
+        let recs = run_slots(self, n_slots);
+        self.tele.flush();
         recs
     }
 
-    /// Streaming form of [`LinkSession::run`]: hands each [`EngineSlot`] to
-    /// `f` in slot order without materializing the per-slot vector — the
-    /// same slot loop, so the record stream is identical. Flushes the
-    /// telemetry sink (if any) at the end.
-    pub fn run_each(&mut self, duration_s: f64, f: impl FnMut(EngineSlot)) {
-        let n_slots = (duration_s / self.cfg.slot_s).round() as usize;
-        if self.cfg.track_speeds {
+    /// The prologue of a run — [`LinkSession::run`]'s and the fleet lane's
+    /// ([`Lane::new`]): primes the speed-tracking pose.
+    fn begin_run(&mut self) {
+        if self.cfg.timing == Timing::SingleTx {
             self.prev_pose = self.motion.pose_at(self.motion_t);
         }
-        fold_slots(self, n_slots, f);
-        self.tele.flush();
-    }
-
-    /// Prologue of [`LinkSession::run_each`] for external slot drivers
-    /// (the scheduled fleet steps sessions in lockstep through
-    /// [`SlotSession::step_slot`]): primes the speed-tracking pose.
-    pub(crate) fn begin_external_run(&mut self) {
-        if self.cfg.track_speeds {
-            self.prev_pose = self.motion.pose_at(self.motion_t);
-        }
-    }
-
-    /// Epilogue of [`LinkSession::run_each`] for external slot drivers:
-    /// flushes the telemetry sink.
-    pub(crate) fn end_external_run(&mut self) {
-        self.tele.flush();
     }
 
     /// Fault-handling counters accumulated across all [`LinkSession::run`]
@@ -1373,7 +1319,6 @@ impl<M: Motion, S: TxSelector> SlotSession for LinkSession<M, S> {
         // one flag, and every event fires only after the slot's random draws
         // for that stage have happened, so sinks cannot perturb the streams.
         let tele_on = self.tele.is_active();
-        self.clock.advance(slot_s);
         let k_ev = self.slot_idx;
         self.slot_idx += 1;
         if tele_on {
@@ -1390,7 +1335,8 @@ impl<M: Motion, S: TxSelector> SlotSession for LinkSession<M, S> {
         let need_rx = self.cfg.los_gating || self.tx_positions.len() > 1;
         let mut rx_pos = Vec3::ZERO;
         let mut slot_pose: Option<Pose> = None;
-        if self.cfg.pose_timing == PoseTiming::SlotStart {
+        let single_tx = self.cfg.timing == Timing::SingleTx;
+        if !single_tx {
             let pose = self.motion.pose_at(motion_t_slot);
             for u in self.units.iter_mut() {
                 u.dep.set_headset_pose(pose);
@@ -1426,7 +1372,7 @@ impl<M: Motion, S: TxSelector> SlotSession for LinkSession<M, S> {
                     continue;
                 }
             }
-            if self.cfg.pose_timing == PoseTiming::AtReport {
+            if single_tx {
                 // Backdate the sampled pose to the report time.
                 let pose = self
                     .motion
@@ -1459,33 +1405,28 @@ impl<M: Motion, S: TxSelector> SlotSession for LinkSession<M, S> {
                 }
             } else {
                 let cmd = u.ctl.on_report(&reported);
-                let apply_at = match self.cfg.command_timing {
-                    CommandTiming::Scheduled => {
-                        // The command is optically effective only after the
-                        // control channel, the DAC conversion AND the mirror
-                        // settle/slew.
-                        let settle = u.dep.settle_estimate(
-                            cmd.voltages[0],
-                            cmd.voltages[1],
-                            cmd.voltages[2],
-                            cmd.voltages[3],
-                        );
-                        let apply_at = rt
-                            + self.cfg.tracker.control_channel_latency_s
-                            + cmd.latency_s
-                            + settle;
-                        self.tp.pending.push_back((apply_at, cmd.voltages));
-                        apply_at
-                    }
-                    CommandTiming::Immediate => {
-                        u.dep.set_voltages(
-                            cmd.voltages[0],
-                            cmd.voltages[1],
-                            cmd.voltages[2],
-                            cmd.voltages[3],
-                        );
-                        rt
-                    }
+                let apply_at = if single_tx {
+                    // The command is optically effective only after the
+                    // control channel, the DAC conversion AND the mirror
+                    // settle/slew.
+                    let settle = u.dep.settle_estimate(
+                        cmd.voltages[0],
+                        cmd.voltages[1],
+                        cmd.voltages[2],
+                        cmd.voltages[3],
+                    );
+                    let apply_at =
+                        rt + self.cfg.tracker.control_channel_latency_s + cmd.latency_s + settle;
+                    self.tp.pending.push_back((apply_at, cmd.voltages));
+                    apply_at
+                } else {
+                    u.dep.set_voltages(
+                        cmd.voltages[0],
+                        cmd.voltages[1],
+                        cmd.voltages[2],
+                        cmd.voltages[3],
+                    );
+                    rt
                 };
                 if tele_on {
                     self.tele.emit(&TelemetryEvent::TpCommandIssued {
@@ -1632,7 +1573,7 @@ impl<M: Motion, S: TxSelector> SlotSession for LinkSession<M, S> {
         if env_att_db > 0.0 {
             power -= env_att_db;
         }
-        let (lin, ang) = if self.cfg.track_speeds {
+        let (lin, ang) = if single_tx {
             pose_speeds(&self.prev_pose, &pose, slot_s)
         } else {
             (0.0, 0.0)
@@ -1732,7 +1673,6 @@ impl<M: Motion, S: TxSelector> SlotSession for LinkSession<M, S> {
         if was_up && !up {
             self.n_outages += 1;
             self.cur_outage_s = 0.0;
-            self.outage_timer = Some(self.clock.start());
             if tele_on {
                 self.tele.emit(&TelemetryEvent::SfpDown { t: t_slot });
             }
@@ -1742,19 +1682,14 @@ impl<M: Motion, S: TxSelector> SlotSession for LinkSession<M, S> {
             self.cur_outage_s += slot_s;
             self.longest_outage_s = self.longest_outage_s.max(self.cur_outage_s);
         }
-        if !was_up && up {
-            let outage = self
-                .outage_timer
-                .take()
-                .map_or(self.cur_outage_s, |tm| tm.elapsed(&self.clock));
-            if tele_on {
-                self.tele.emit(&TelemetryEvent::SfpUp {
-                    t: t_slot,
-                    outage_s: outage,
-                });
-            }
+        if tele_on && !was_up && up {
+            // The outage that just ended, as `longest_outage_s` counts it.
+            self.tele.emit(&TelemetryEvent::SfpUp {
+                t: t_slot,
+                outage_s: self.cur_outage_s,
+            });
         }
-        let mut goodput = if self.cfg.goodput && up {
+        let mut goodput = if single_tx && up {
             let rate = self.units[self.active].dep.design.sfp.optimal_goodput_gbps;
             rate * self.fsp.frame_success_prob(power)
         } else {
@@ -1778,7 +1713,7 @@ impl<M: Motion, S: TxSelector> SlotSession for LinkSession<M, S> {
                 };
                 let tx = self.tx_positions[self.active];
                 let occluded = self.occluders.iter().any(|o| o.blocks(tx, rx));
-                let rf_rate = if self.cfg.goodput {
+                let rf_rate = if single_tx {
                     rf.channel.rate_gbps(tx.distance(rx), occluded)
                 } else {
                     0.0
@@ -1966,15 +1901,6 @@ impl<M: Motion, S: TxSelector> SessionBuilder<M, S> {
             Telemetry::with_sink_and_counters(sink)
         } else {
             Telemetry::with_sink(sink)
-        };
-        self
-    }
-
-    /// Enables in-session counter/histogram aggregation (keeps any sink).
-    pub fn telemetry_counters(mut self) -> Self {
-        self.telemetry = match self.telemetry.take_sink() {
-            Some(sink) => Telemetry::with_sink_and_counters(sink),
-            None => Telemetry::counters(),
         };
         self
     }
@@ -2389,26 +2315,18 @@ impl Default for FleetConfig {
 }
 
 impl FleetConfig {
-    /// Starts a validating builder over the default fleet configuration.
-    pub fn builder() -> FleetConfigBuilder {
-        FleetConfigBuilder {
-            cfg: FleetConfig::default(),
-        }
-    }
-
     /// Checks the session count, duration, handover debounce and the
-    /// tracker/control templates. The builder and the `Result`-returning
-    /// drivers ([`run_fleet_mixed`],
-    /// [`run_fleet_scheduled`](crate::sched::run_fleet_scheduled)) call
-    /// it, so a struct-literal configuration gets the same typed errors.
+    /// tracker/control templates. The `Result`-returning drivers
+    /// ([`run_fleet_mixed`],
+    /// [`run_fleet_scheduled`](crate::sched::run_fleet_scheduled)) call it,
+    /// so a struct-literal configuration gets typed errors, not a panic.
     pub fn validate(&self) -> Result<(), EngineConfigError> {
         if self.n_sessions == 0 {
             return Err(EngineConfigError::InvalidFleet("n_sessions must be >= 1"));
         }
-        // Sessions run `round(duration_s / slot_s)` slots; a duration that
-        // rounds to zero would report an empty, all-zero run.
-        let slots = self.duration_s / EngineConfig::default().slot_s;
-        if !(self.duration_s.is_finite() && slots.round() >= 1.0) {
+        // A duration that rounds to zero slots would report an empty,
+        // all-zero run.
+        if !(self.duration_s.is_finite() && self.n_slots() >= 1) {
             return Err(EngineConfigError::InvalidFleet(
                 "duration_s must be finite and span at least one slot",
             ));
@@ -2428,100 +2346,10 @@ impl FleetConfig {
         }
         .validate()
     }
-}
 
-/// Validating builder for [`FleetConfig`] (entry point:
-/// [`FleetConfig::builder`]).
-#[derive(Debug, Clone)]
-pub struct FleetConfigBuilder {
-    cfg: FleetConfig,
-}
-
-impl FleetConfigBuilder {
-    /// Sets the number of concurrent sessions.
-    pub fn n_sessions(mut self, n: usize) -> Self {
-        self.cfg.n_sessions = n;
-        self
-    }
-
-    /// Sets the per-session duration (seconds).
-    pub fn duration_s(mut self, duration_s: f64) -> Self {
-        self.cfg.duration_s = duration_s;
-        self
-    }
-
-    /// Sets the master seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Sets the per-session motion model.
-    pub fn motion(mut self, motion: ArbitraryMotionConfig) -> Self {
-        self.cfg.motion = motion;
-        self
-    }
-
-    /// Sets the base pose sessions start from.
-    pub fn base_pose(mut self, base_pose: Pose) -> Self {
-        self.cfg.base_pose = base_pose;
-        self
-    }
-
-    /// Sets the control-plane template.
-    pub fn control(mut self, control: ControlPlaneConfig) -> Self {
-        self.cfg.control = Some(control);
-        self
-    }
-
-    /// Adds an occluder template.
-    pub fn occluder(mut self, occluder: Occluder) -> Self {
-        self.cfg.occluders.push(occluder);
-        self
-    }
-
-    /// Sets the handover debounce (seconds).
-    pub fn debounce_s(mut self, debounce_s: f64) -> Self {
-        self.cfg.debounce_s = debounce_s;
-        self
-    }
-
-    /// Sets the §5.3 pause-on-outage protocol.
-    pub fn pause_on_outage(mut self, pause: bool) -> Self {
-        self.cfg.pause_on_outage = pause;
-        self
-    }
-
-    /// Enables per-session telemetry counters and the fleet roll-up.
-    pub fn collect_telemetry(mut self, collect: bool) -> Self {
-        self.cfg.collect_telemetry = collect;
-        self
-    }
-
-    /// Sets the hybrid FSO/RF fallback policy for every session.
-    pub fn fallback(mut self, fallback: FallbackPolicy) -> Self {
-        self.cfg.fallback = fallback;
-        self
-    }
-
-    /// Sets the tracker timing/noise model for every session.
-    pub fn tracker(mut self, tracker: TrackerConfig) -> Self {
-        self.cfg.tracker = tracker;
-        self
-    }
-
-    /// Sets the environment template; an empty environment is stored as
-    /// `None` (the clean-air fast path).
-    pub fn environment(mut self, env: crate::channel::Environment) -> Self {
-        self.cfg.environment = if env.is_empty() { None } else { Some(env) };
-        self
-    }
-
-    /// Validates and returns the configuration
-    /// ([`FleetConfig::validate`]).
-    pub fn build(self) -> Result<FleetConfig, EngineConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
+    /// Slots each session runs: `round(duration_s / slot_s)`.
+    pub(crate) fn n_slots(&self) -> usize {
+        (self.duration_s / EngineConfig::default().slot_s).round() as usize
     }
 }
 
@@ -2616,8 +2444,7 @@ pub struct FleetRollup {
     pub sched: Option<crate::sched::SchedRollup>,
 }
 
-/// Outcome of [`run_fleet`]: per-session reports (in session order) plus
-/// the rollup.
+/// Outcome of a fleet run: per-session reports, in session order.
 #[derive(Debug, Clone)]
 pub struct FleetSummary {
     /// Per-session reports, indexed by session.
@@ -2625,31 +2452,33 @@ pub struct FleetSummary {
 }
 
 impl FleetSummary {
-    /// Aggregates the per-session counters. Streams the reports through a
-    /// [`FleetRollupAcc`] in session order, so the result is bit-identical
-    /// to the historical single-fold implementation.
+    /// Aggregates the per-session counters, folding the reports in session
+    /// order.
     pub fn rollup(&self) -> FleetRollup {
-        let mut acc = FleetRollupAcc::new();
-        for s in &self.sessions {
-            acc.absorb(s);
-        }
-        acc.finish()
+        FleetRollupAcc::fold(&self.sessions)
+    }
+
+    /// Per-profile rollups of a mixed fleet: one `(pool index, rollup)` per
+    /// pool that ran at least one session, in pool order. Sessions without
+    /// a profile stamp (a homogeneous [`run_fleet`]) are skipped.
+    pub fn profile_rollups(&self) -> Vec<(u32, FleetRollup)> {
+        let mut pools: Vec<u32> = self.sessions.iter().filter_map(|s| s.profile).collect();
+        pools.sort_unstable();
+        pools.dedup();
+        pools
+            .into_iter()
+            .map(|p| {
+                let members = self.sessions.iter().filter(|s| s.profile == Some(p));
+                (p, FleetRollupAcc::fold(members))
+            })
+            .collect()
     }
 }
 
-/// Streaming accumulator behind [`FleetSummary::rollup`]: absorbs
-/// [`SessionReport`]s one at a time (or merges partial accumulators), so a
-/// fleet rollup needs O(1) memory instead of a materialized report vector
-/// — the aggregation substrate for venue-scale fleets (ROADMAP item 1).
-///
-/// Mean-valued [`FleetRollup`] fields are carried as running sums and only
-/// divided in [`FleetRollupAcc::finish`], so `absorb`-in-session-order
-/// reproduces the historical fold bit-for-bit. [`FleetRollupAcc::merge`]
-/// combines accumulators built over disjoint session ranges; the counters
-/// are exact, while the float sums re-associate (merge order changes the
-/// rounding, not the math).
-#[derive(Debug, Clone)]
-pub struct FleetRollupAcc {
+/// The fold behind [`FleetSummary::rollup`] and
+/// [`FleetSummary::profile_rollups`]. Mean-valued [`FleetRollup`] fields are
+/// carried as running sums and divided once in `finish`.
+struct FleetRollupAcc {
     r: FleetRollup,
     n_sched: usize,
     avail_sum: f64,
@@ -2658,16 +2487,10 @@ pub struct FleetRollupAcc {
     jain_sum_sq: f64,
 }
 
-impl Default for FleetRollupAcc {
-    fn default() -> Self {
-        FleetRollupAcc::new()
-    }
-}
-
 impl FleetRollupAcc {
-    /// An empty accumulator.
-    pub fn new() -> FleetRollupAcc {
-        FleetRollupAcc {
+    /// Folds `reports`, in order, into one rollup.
+    fn fold<'a>(reports: impl IntoIterator<Item = &'a SessionReport>) -> FleetRollup {
+        let mut acc = FleetRollupAcc {
             r: FleetRollup {
                 n_sessions: 0,
                 total_slots: 0,
@@ -2696,11 +2519,15 @@ impl FleetRollupAcc {
             stall_frac_sum: 0.0,
             jain_sum: 0.0,
             jain_sum_sq: 0.0,
+        };
+        for s in reports {
+            acc.absorb(s);
         }
+        acc.finish()
     }
 
     /// Folds one session report into the accumulator.
-    pub fn absorb(&mut self, s: &SessionReport) {
+    fn absorb(&mut self, s: &SessionReport) {
         let r = &mut self.r;
         r.n_sessions += 1;
         r.total_slots += s.slots;
@@ -2754,62 +2581,9 @@ impl FleetRollupAcc {
         }
     }
 
-    /// Combines another accumulator (built over a disjoint session range)
-    /// into this one.
-    pub fn merge(&mut self, o: &FleetRollupAcc) {
-        let r = &mut self.r;
-        let q = &o.r;
-        r.n_sessions += q.n_sessions;
-        r.total_slots += q.total_slots;
-        r.mean_up_frac += q.mean_up_frac;
-        r.mean_signal_frac += q.mean_signal_frac;
-        r.min_up_frac = r.min_up_frac.min(q.min_up_frac);
-        r.sum_goodput_gbps += q.sum_goodput_gbps;
-        r.total_handovers += q.total_handovers;
-        r.total_outages += q.total_outages;
-        r.worst_outage_s = r.worst_outage_s.max(q.worst_outage_s);
-        r.total_extrapolated += q.total_extrapolated;
-        r.total_reacq_steps += q.total_reacq_steps;
-        r.ctrl_sent += q.ctrl_sent;
-        r.ctrl_delivered += q.ctrl_delivered;
-        r.ctrl_retransmits += q.ctrl_retransmits;
-        r.mean_rf_frac += q.mean_rf_frac;
-        r.total_failovers += q.total_failovers;
-        r.total_failbacks += q.total_failbacks;
-        r.total_rf_slots += q.total_rf_slots;
-        r.rf_delivered_gb += q.rf_delivered_gb;
-        if let Some(t) = q.telemetry.as_ref() {
-            match r.telemetry.as_mut() {
-                Some(acc) => acc.merge(t),
-                None => r.telemetry = Some(*t),
-            }
-        }
-        if let Some(qs) = q.sched.as_ref() {
-            let sr = r.sched.get_or_insert_with(|| crate::sched::SchedRollup {
-                min_availability: f64::INFINITY,
-                ..Default::default()
-            });
-            sr.n_admitted += qs.n_admitted;
-            sr.total_granted += qs.total_granted;
-            sr.total_served += qs.total_served;
-            sr.total_denied += qs.total_denied;
-            sr.total_preempts += qs.total_preempts;
-            sr.min_availability = sr.min_availability.min(qs.min_availability);
-            sr.sum_served_gbps += qs.sum_served_gbps;
-            sr.worst_stall_s = sr.worst_stall_s.max(qs.worst_stall_s);
-            sr.total_stall_events += qs.total_stall_events;
-            sr.total_frames_played += qs.total_frames_played;
-        }
-        self.n_sched += o.n_sched;
-        self.avail_sum += o.avail_sum;
-        self.stall_frac_sum += o.stall_frac_sum;
-        self.jain_sum += o.jain_sum;
-        self.jain_sum_sq += o.jain_sum_sq;
-    }
-
     /// Finalizes the rollup: divides the running sums into means and
     /// computes the Jain fairness index over the admitted sessions.
-    pub fn finish(mut self) -> FleetRollup {
+    fn finish(mut self) -> FleetRollup {
         let n = self.r.n_sessions;
         if n > 0 {
             self.r.mean_up_frac /= n as f64;
@@ -2833,15 +2607,13 @@ impl FleetRollupAcc {
 }
 
 /// The concrete session type fleet drivers run.
-pub(crate) type FleetSession = LinkSession<ArbitraryMotion, BestMargin>;
+type FleetSession = LinkSession<ArbitraryMotion, BestMargin>;
 
-/// Builds fleet session `i` against a private clone of `units` — the one
-/// constructor shared by [`run_fleet`] and the scheduled driver
-/// ([`crate::sched::run_fleet_scheduled`]), so both paths derive the same
-/// per-session seed, motion, fault, and occluder streams and their physics
-/// timelines are bit-identical. Emits the `SessionStart` telemetry event.
-/// Returns the session and its derived seed.
-pub(crate) fn build_fleet_session(
+/// Builds fleet session `i` against a private clone of `units`: derives its
+/// seed, motion, fault, occluder and environment streams from the session
+/// index and emits the `SessionStart` telemetry event. Returns the session
+/// and its derived seed.
+fn build_fleet_session(
     units: &[TxInstallation],
     cfg: &FleetConfig,
     i: usize,
@@ -2901,12 +2673,10 @@ pub(crate) fn build_fleet_session(
     (session, seed)
 }
 
-/// Streaming per-slot sums a fleet session folds into its report — shared
-/// by [`run_fleet`]'s internal fold and the scheduled driver so the
-/// derived [`SessionReport`] fields are computed identically on both paths
-/// (counts and running sums; no duration-proportional buffering).
-pub(crate) struct SlotSums {
-    pub(crate) slots: usize,
+/// Streaming per-slot sums a fleet session folds into its report (counts
+/// and running sums; no duration-proportional buffering).
+struct SlotSums {
+    slots: usize,
     n_up: usize,
     n_sig: usize,
     n_rf: usize,
@@ -2915,7 +2685,7 @@ pub(crate) struct SlotSums {
 }
 
 impl SlotSums {
-    pub(crate) fn new() -> SlotSums {
+    fn new() -> SlotSums {
         SlotSums {
             slots: 0,
             n_up: 0,
@@ -2926,7 +2696,7 @@ impl SlotSums {
         }
     }
 
-    pub(crate) fn absorb(&mut self, r: &EngineSlot, sens_dbm: f64) {
+    fn absorb(&mut self, r: &EngineSlot, sens_dbm: f64) {
         self.slots += 1;
         self.n_up += r.link_up as usize;
         self.n_sig += (r.power_dbm >= sens_dbm) as usize;
@@ -2935,12 +2705,7 @@ impl SlotSums {
         self.power_sum += r.power_dbm;
     }
 
-    pub(crate) fn report<M: Motion, S: TxSelector>(
-        &self,
-        i: usize,
-        seed: u64,
-        session: &LinkSession<M, S>,
-    ) -> SessionReport {
+    fn report(&self, i: usize, seed: u64, session: &FleetSession) -> SessionReport {
         let n = self.slots.max(1) as f64;
         let tp = session.tp_metrics();
         SessionReport {
@@ -2963,31 +2728,87 @@ impl SlotSums {
     }
 }
 
-/// Runs one fleet session (index `i`) against a private clone of `units`.
-fn run_fleet_session(units: &[TxInstallation], cfg: &FleetConfig, i: usize) -> SessionReport {
-    let (mut session, seed) = build_fleet_session(units, cfg, i);
-    let sens = units[0].dep.design.sfp.rx_sensitivity_dbm;
-    let mut sums = SlotSums::new();
-    session.run_each(cfg.duration_s, |r| sums.absorb(&r, sens));
-    if cfg.collect_telemetry {
-        session.telemetry_mut().emit(&TelemetryEvent::SessionEnd {
-            session: i as u64,
-            slots: sums.slots as u64,
-        });
+/// One fleet session's lane: the one place a fleet session is built,
+/// stepped and reported. [`run_fleet`], [`run_fleet_mixed`] and
+/// [`run_fleet_scheduled`](crate::sched::run_fleet_scheduled) all drive
+/// their sessions through it, so every driver derives the same per-session
+/// streams and report fields, bit for bit.
+pub(crate) struct Lane {
+    pub(crate) session: FleetSession,
+    pub(crate) seed: u64,
+    i: usize,
+    sens_dbm: f64,
+    collect: bool,
+    sums: SlotSums,
+}
+
+impl Lane {
+    /// Builds fleet session `i` against a private clone of `units` and
+    /// runs the session's run prologue.
+    pub(crate) fn new(units: &[TxInstallation], cfg: &FleetConfig, i: usize) -> Lane {
+        let (mut session, seed) = build_fleet_session(units, cfg, i);
+        session.begin_run();
+        Lane {
+            session,
+            seed,
+            i,
+            sens_dbm: units[0].dep.design.sfp.rx_sensitivity_dbm,
+            collect: cfg.collect_telemetry,
+            sums: SlotSums::new(),
+        }
     }
-    sums.report(i, seed, &session)
+
+    /// Steps slot `k` and folds its record into the report sums.
+    pub(crate) fn step(&mut self, k: usize) -> EngineSlot {
+        let rec = self.session.step_slot(k);
+        self.sums.absorb(&rec, self.sens_dbm);
+        rec
+    }
+
+    /// Ends the run: flushes the telemetry sink, emits `SessionEnd` and
+    /// returns the session's report.
+    pub(crate) fn finish(mut self) -> SessionReport {
+        let tele = &mut self.session.tele;
+        tele.flush();
+        if self.collect {
+            tele.emit(&TelemetryEvent::SessionEnd {
+                session: self.i as u64,
+                slots: self.sums.slots as u64,
+            });
+        }
+        self.sums.report(self.i, self.seed, &self.session)
+    }
+}
+
+/// The unscheduled fan-out behind [`run_fleet`] and [`run_fleet_mixed`]:
+/// session `i` runs against the units and template `pool(i)` names, and its
+/// report carries the pool stamp `pool(i)` gives. Sessions are independent,
+/// so each runs whole on the [`cyclops_par`] pool and the reports are
+/// collected in session order — bit-identical to the serial loop at any
+/// thread count. (Whole sessions rather than the scheduled fleet's slot
+/// epochs: epochs would hold every session in memory at once.)
+fn fan_out<'a>(
+    n_sessions: usize,
+    pool: impl Fn(usize) -> (&'a [TxInstallation], &'a FleetConfig, Option<u32>) + Sync,
+) -> FleetSummary {
+    let sessions = cyclops_par::par_map_indexed(n_sessions, 1, |i| {
+        let (units, cfg, profile) = pool(i);
+        let mut lane = Lane::new(units, cfg, i);
+        for k in 0..cfg.n_slots() {
+            lane.step(k);
+        }
+        SessionReport {
+            profile,
+            ..lane.finish()
+        }
+    });
+    FleetSummary { sessions }
 }
 
 /// Runs `cfg.n_sessions` independently-seeded sessions, each against its
 /// own clone of `units`, and collects the reports in session-index order.
-///
-/// Sessions are independent, so they run on the [`cyclops_par`] pool and
-/// are collected in index order — bit-identical to the serial loop at any
-/// thread count.
 pub fn run_fleet(units: &[TxInstallation], cfg: &FleetConfig) -> FleetSummary {
-    let sessions =
-        cyclops_par::par_map_indexed(cfg.n_sessions, 1, |i| run_fleet_session(units, cfg, i));
-    FleetSummary { sessions }
+    fan_out(cfg.n_sessions, |_| (units, cfg, None))
 }
 
 // ---------------------------------------------------------------------------
@@ -3042,34 +2863,10 @@ pub fn run_fleet_mixed(
     for c in &cfgs {
         c.validate()?;
     }
-    let sessions = cyclops_par::par_map_indexed(cfg.n_sessions, 1, |i| {
-        let pool = i % pools.len();
-        let mut r = run_fleet_session(&pools[pool].units, &cfgs[pool], i);
-        r.profile = Some(pool as u32);
-        r
-    });
-    Ok(FleetSummary { sessions })
-}
-
-impl FleetSummary {
-    /// Per-profile rollups of a mixed fleet: one `(pool index, rollup)` per
-    /// pool that ran at least one session, in pool order. Sessions without
-    /// a profile stamp (a homogeneous [`run_fleet`]) are skipped.
-    pub fn profile_rollups(&self) -> Vec<(u32, FleetRollup)> {
-        let mut pools: Vec<u32> = self.sessions.iter().filter_map(|s| s.profile).collect();
-        pools.sort_unstable();
-        pools.dedup();
-        pools
-            .into_iter()
-            .map(|p| {
-                let mut acc = FleetRollupAcc::new();
-                for s in self.sessions.iter().filter(|s| s.profile == Some(p)) {
-                    acc.absorb(s);
-                }
-                (p, acc.finish())
-            })
-            .collect()
-    }
+    Ok(fan_out(cfg.n_sessions, |i| {
+        let p = i % pools.len();
+        (&pools[p].units, &cfgs[p], Some(p as u32))
+    }))
 }
 
 #[cfg(test)]
@@ -3213,11 +3010,9 @@ mod tests {
         assert!(r.telemetry.is_none());
     }
 
-    /// Satellite: the streaming rollup accumulator. `rollup()` must match a
-    /// hand-written single fold bit-for-bit, chunked `merge` must agree on
-    /// every counter (floats re-associate, so those compare approximately).
+    /// `rollup()` must match a hand-written single fold bit-for-bit.
     #[test]
-    fn rollup_streaming_merge_matches_manual_fold() {
+    fn rollup_matches_manual_fold() {
         let units = crate::session_tests::two_units(911);
         let cfg = FleetConfig {
             n_sessions: 6,
@@ -3253,29 +3048,6 @@ mod tests {
         assert_eq!(direct.min_up_frac.to_bits(), min_up.to_bits());
         assert_eq!(direct.sum_goodput_gbps.to_bits(), sum_goodput.to_bits());
         assert_eq!(direct.total_handovers, handovers);
-
-        // Chunked merge: counters exact, float sums re-associate.
-        let mut a = FleetRollupAcc::new();
-        let mut b = FleetRollupAcc::new();
-        for s in &summary.sessions[..3] {
-            a.absorb(s);
-        }
-        for s in &summary.sessions[3..] {
-            b.absorb(s);
-        }
-        a.merge(&b);
-        let merged = a.finish();
-        assert_eq!(merged.n_sessions, direct.n_sessions);
-        assert_eq!(merged.total_slots, direct.total_slots);
-        assert_eq!(merged.total_handovers, direct.total_handovers);
-        assert_eq!(merged.total_outages, direct.total_outages);
-        assert_eq!(merged.ctrl_sent, direct.ctrl_sent);
-        assert_eq!(merged.min_up_frac.to_bits(), direct.min_up_frac.to_bits());
-        assert!((merged.mean_up_frac - direct.mean_up_frac).abs() < 1e-12);
-        assert!((merged.sum_goodput_gbps - direct.sum_goodput_gbps).abs() < 1e-9);
-        let (mt, dt) = (merged.telemetry.unwrap(), direct.telemetry.unwrap());
-        assert_eq!(mt.events.slots, dt.events.slots);
-        assert_eq!(mt.events.handovers, dt.events.handovers);
     }
 
     use crate::control::FaultPlan;
@@ -3461,13 +3233,14 @@ mod tests {
     #[test]
     fn fleet_rollup_merges_session_telemetry() {
         let units = crate::session_tests::two_units(911);
-        let cfg = FleetConfig::builder()
-            .n_sessions(3)
-            .duration_s(0.4)
-            .seed(77)
-            .collect_telemetry(true)
-            .build()
-            .expect("valid fleet config");
+        let cfg = FleetConfig {
+            n_sessions: 3,
+            duration_s: 0.4,
+            seed: 77,
+            collect_telemetry: true,
+            ..FleetConfig::default()
+        };
+        assert_eq!(cfg.validate(), Ok(()));
         let s = run_fleet(&units, &cfg);
         assert!(s.sessions.iter().all(|r| r.telemetry.is_some()));
         let r = s.rollup();
@@ -3547,17 +3320,6 @@ mod tests {
             LinkSession::builder(StaticPose(park_pose())).build().err(),
             Some(EngineConfigError::NoUnits)
         );
-        // Fleet-level validation.
-        assert!(matches!(
-            FleetConfig::builder().n_sessions(0).build(),
-            Err(EngineConfigError::InvalidFleet(_))
-        ));
-        for d in [0.0, 1e-9, -1.0, f64::NAN] {
-            assert!(matches!(
-                FleetConfig::builder().duration_s(d).build(),
-                Err(EngineConfigError::InvalidFleet(_))
-            ));
-        }
         // Errors render human-readable messages.
         assert!(!EngineConfigError::NoUnits.to_string().is_empty());
         assert!(!EngineConfigError::InvalidFleet("x").to_string().is_empty());
@@ -3775,15 +3537,16 @@ mod tests {
         let tx0 = units[0].dep.tx_world_params().q2;
         let base = v3(0.0, 0.0, 1.75);
         let fleet = |fallback: FallbackPolicy| {
-            let cfg = FleetConfig::builder()
-                .n_sessions(4)
-                .duration_s(1.5)
-                .seed(424)
-                .control(ControlPlaneConfig::hardened(FaultPlan::stress(5)))
-                .occluder(Occluder::new(tx0.lerp(base, 0.5), 0.12, 0.4, 1))
-                .fallback(fallback)
-                .build()
-                .expect("valid fleet config");
+            let cfg = FleetConfig {
+                n_sessions: 4,
+                duration_s: 1.5,
+                seed: 424,
+                control: Some(ControlPlaneConfig::hardened(FaultPlan::stress(5))),
+                occluders: vec![Occluder::new(tx0.lerp(base, 0.5), 0.12, 0.4, 1)],
+                fallback,
+                ..FleetConfig::default()
+            };
+            assert_eq!(cfg.validate(), Ok(()));
             run_fleet(&units, &cfg).rollup()
         };
         let off = fleet(FallbackPolicy::Off);

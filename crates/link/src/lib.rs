@@ -6,8 +6,6 @@
 //! * [`channel`] — received power → BER → frame-loss, anchored at the SFP's
 //!   specified sensitivity (BER 10⁻¹² at sensitivity, Gaussian-noise OOK
 //!   scaling above/below);
-//! * [`crc`] / [`framing`] — CRC-32 framing used by the loss accounting and
-//!   the quickstart examples;
 //! * [`control`] — the reliable control channel (sequence-numbered ARQ
 //!   with dedup, timeouts and capped backoff) and the deterministic
 //!   fault-injection layer (`FaultPlan`) behind the chaos suite;
@@ -19,10 +17,13 @@
 //! * [`engine`] — the unified slot-clocked simulation engine: one scheduler
 //!   driving pluggable components (motion source, TP policy, control plane,
 //!   channel model, TX selector), plus multi-session fleet workloads; new
-//!   sessions are built with [`engine::LinkSession::builder`];
+//!   sessions are built with [`engine::LinkSession::builder`]. Loss
+//!   accounting turns received power into frame-success probabilities
+//!   ([`channel::FrameSuccessCache`]), not simulated frames;
 //! * [`telemetry`] — deterministic engine observability: slot/TP/control/
-//!   SFP/handover events, counter + histogram aggregation, a JSONL sink,
-//!   and the virtual clock that keeps instrumented runs bit-identical;
+//!   SFP/handover events, counter + histogram aggregation and a JSONL sink,
+//!   all stamped with simulation time so instrumented runs stay
+//!   bit-identical;
 //! * [`registry`] — the hardware device registry: data-driven
 //!   SFP/galvo/headset capability profiles with named presets and a
 //!   validating builder, so fleets mix heterogeneous hardware;
@@ -43,9 +44,7 @@
 
 pub mod channel;
 pub mod control;
-pub mod crc;
 pub mod engine;
-pub mod framing;
 pub mod handover;
 pub mod iperf;
 #[cfg(test)]
@@ -61,8 +60,8 @@ pub mod traffic;
 pub mod video;
 
 pub use channel::{
-    EnvChannel, EnvStage, Environment, FogStage, FsoChannel, HumanOccluderStage, RainStage,
-    RfChannel, ScintillationStage,
+    EnvStage, Environment, FogStage, FsoChannel, HumanOccluderStage, RainStage, RfChannel,
+    ScintillationStage,
 };
 pub use control::{
     slots_in, ArqConfig, ControlLink, ControlPlaneConfig, ControlStats, DeadReckoningConfig,
@@ -70,12 +69,11 @@ pub use control::{
 };
 pub use engine::{
     run_fleet, run_slots, BestMargin, DarkDebounce, EngineConfig, EngineConfigError, EngineSlot,
-    FallbackPolicy, FirstReport, FleetConfig, FleetConfigBuilder, FleetRollup, FleetSummary,
-    LinkPolicy, LinkSession, MarginSelector, RfStats, SessionBuilder, SessionReport, SessionStats,
-    SingleTx, SlotSession, TxInstallation, TxSelector,
+    FallbackPolicy, FirstReport, FleetConfig, FleetRollup, FleetSummary, LinkPolicy, LinkSession,
+    MarginSelector, RfStats, SessionBuilder, SessionReport, SessionStats, SingleTx, SlotSession,
+    TxInstallation, TxSelector,
 };
 pub use engine::{run_fleet_mixed, FleetPool};
-pub use framing::Frame;
 pub use registry::{
     galvo_profile, galvo_profiles, headset_profile, headset_profiles, sfp_profile, sfp_profiles,
     GalvoProfile, GalvoProfileDef, HardwareProfile, HardwareProfileBuilder, HeadsetProfile,

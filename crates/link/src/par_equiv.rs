@@ -10,7 +10,8 @@
 use crate::channel::{Environment, FogStage, ScintillationStage};
 use crate::control::{ControlPlaneConfig, FaultPlan};
 use crate::engine::{
-    run_fleet, run_fleet_mixed, FallbackPolicy, FleetConfig, FleetPool, TxInstallation,
+    run_fleet, run_fleet_mixed, FallbackPolicy, FleetConfig, FleetPool, FleetSummary,
+    SessionReport, TxInstallation,
 };
 use crate::handover::Occluder;
 use crate::registry::headset_profile;
@@ -124,6 +125,35 @@ fn run_fleet_mixed_is_invariant_to_thread_count() {
         let rollups = fleet.profile_rollups();
         (fleet, rollups)
     });
+    // The two unscheduled drivers share one fan-out: over a single pool
+    // carrying the template's tracker, the mixed fleet is `run_fleet` but
+    // for the pool stamp.
+    let one = [FleetPool {
+        label: "10g/rift-s".into(),
+        units: units().to_vec(),
+        tracker: cfg.tracker,
+    }];
+    for threads in [1, 3] {
+        let (mixed, plain) = cyclops_par::with_threads(threads, || {
+            let mixed = run_fleet_mixed(&one, &cfg).expect("valid mixed fleet");
+            (mixed, run_fleet(units(), &cfg))
+        });
+        assert!(mixed.sessions.iter().all(|s| s.profile == Some(0)));
+        let unstamped = FleetSummary {
+            sessions: mixed
+                .sessions
+                .iter()
+                .map(|s| SessionReport {
+                    profile: None,
+                    ..*s
+                })
+                .collect(),
+        };
+        assert!(
+            format!("{unstamped:?}") == format!("{plain:?}"),
+            "{threads} threads: a one-pool mixed fleet diverges from run_fleet"
+        );
+    }
 }
 
 #[test]

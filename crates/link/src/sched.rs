@@ -58,8 +58,7 @@
 //! trades a little aggregate goodput for worst-session QoE).
 
 use crate::engine::{
-    build_fleet_session, EngineConfigError, EngineSlot, FleetConfig, FleetSession, FleetSummary,
-    SlotSession, SlotSums, TxInstallation,
+    EngineConfigError, EngineSlot, FleetConfig, FleetSummary, Lane, TxInstallation,
 };
 use crate::telemetry::{Telemetry, TelemetryEvent};
 use crate::traffic::{TrafficConfig, TrafficSource};
@@ -736,15 +735,10 @@ pub struct SchedRollup {
 /// memory whatever the duration.
 const EPOCH_SLOTS: usize = 256;
 
-/// One scheduled session's physics lane: the session, the sums its report
-/// folds, and the records of the current epoch (phase 1 writes them, the
-/// grant pass reads them). Kept together so phase 1 fans out over one slice.
-struct Lane {
-    session: FleetSession,
-    seed: u64,
-    sums: SlotSums,
-    recs: Vec<EngineSlot>,
-}
+/// One scheduled session: its fleet [`Lane`] and the records of the current
+/// epoch (phase 1 writes them, the grant pass reads them). Kept together so
+/// phase 1 fans out over one slice.
+type EpochLane = (Lane, Vec<EngineSlot>);
 
 /// The serial grant pass of a scheduled fleet: the grant engine, the
 /// per-session traffic sources and the scheduling/QoE accounting. It reads
@@ -769,7 +763,7 @@ fn scheduled_setup(
     units: &[TxInstallation],
     fleet: &FleetConfig,
     sched: &SchedConfig,
-) -> Result<(Vec<Lane>, GrantPass, usize), EngineConfigError> {
+) -> Result<(Vec<EpochLane>, GrantPass, usize), EngineConfigError> {
     if units.is_empty() {
         return Err(EngineConfigError::NoUnits);
     }
@@ -780,19 +774,10 @@ fn scheduled_setup(
     let m = units.len();
 
     // Build every session exactly as the unscheduled fleet does — same
-    // constructor, same per-session streams — so the physics timelines are
+    // lane, same per-session streams — so the physics timelines are
     // bit-identical to run_fleet regardless of policy.
-    let lanes: Vec<Lane> = (0..n)
-        .map(|i| {
-            let (mut session, seed) = build_fleet_session(units, fleet, i);
-            session.begin_external_run();
-            Lane {
-                session,
-                seed,
-                sums: SlotSums::new(),
-                recs: Vec::with_capacity(EPOCH_SLOTS),
-            }
-        })
+    let lanes: Vec<EpochLane> = (0..n)
+        .map(|i| (Lane::new(units, fleet, i), Vec::with_capacity(EPOCH_SLOTS)))
         .collect();
 
     // Admission control, in session order.
@@ -804,14 +789,13 @@ fn scheduled_setup(
         n_admitted += *a as usize;
     }
 
-    let slot_s = lanes[0].session.cfg().slot_s;
-    let n_slots = (fleet.duration_s / slot_s).round() as usize;
+    let slot_s = lanes[0].0.session.cfg().slot_s;
     let pass = GrantPass {
         policy,
         ge: GrantEngine::new(n, m, sched, slot_s),
         traffic: lanes
             .iter()
-            .map(|l| TrafficSource::new(sched.traffic, mix64(l.seed, 0x7ea_ff1c)))
+            .map(|(l, _)| TrafficSource::new(sched.traffic, mix64(l.seed, 0x7ea_ff1c)))
             .collect(),
         acc: admitted
             .iter()
@@ -844,7 +828,7 @@ fn scheduled_setup(
         sens: units[0].dep.design.sfp.rx_sensitivity_dbm,
         collect: fleet.collect_telemetry,
     };
-    Ok((lanes, pass, n_slots))
+    Ok((lanes, pass, fleet.n_slots()))
 }
 
 impl GrantPass {
@@ -936,22 +920,13 @@ impl GrantPass {
 
     /// The session reports: the physics fields are byte-for-byte what
     /// run_fleet folds; the scheduling/QoE accounting rides alongside.
-    fn finish(self, lanes: Vec<Lane>) -> FleetSummary {
+    fn finish(self, lanes: Vec<EpochLane>) -> FleetSummary {
         let slot_s = self.slot_s;
         let mut reports = Vec::with_capacity(lanes.len());
-        for (i, (mut lane, mut a)) in lanes.into_iter().zip(self.acc).enumerate() {
-            lane.session.end_external_run();
-            if self.collect {
-                lane.session
-                    .telemetry_mut()
-                    .emit(&TelemetryEvent::SessionEnd {
-                        session: i as u64,
-                        slots: lane.sums.slots as u64,
-                    });
-            }
-            let mut rep = lane.sums.report(i, lane.seed, &lane.session);
-            let ts = self.traffic[i].stats();
-            let slots = lane.sums.slots.max(1) as f64;
+        for (((lane, _), mut a), tr) in lanes.into_iter().zip(self.acc).zip(&self.traffic) {
+            let mut rep = lane.finish();
+            let ts = tr.stats();
+            let slots = rep.slots.max(1) as f64;
             let dur = slots * slot_s;
             a.availability = a.served_slots as f64 / slots;
             a.mean_served_gbps = a.delivered_gb / dur;
@@ -979,7 +954,6 @@ pub fn run_fleet_scheduled(
     sched: &SchedConfig,
 ) -> Result<FleetSummary, EngineConfigError> {
     let (mut lanes, mut pass, n_slots) = scheduled_setup(units, fleet, sched)?;
-    let sens = pass.sens;
     // Phase 1 steps every session through the epoch on the pool (session
     // physics never reads a grant); phase 2 is the serial grant pass over
     // the epoch's records in slot order: the scheduler assigns the pool,
@@ -987,21 +961,17 @@ pub fn run_fleet_scheduled(
     // equals the slot-synchronous loop at any thread count.
     for k0 in (0..n_slots).step_by(EPOCH_SLOTS) {
         let epoch = k0..n_slots.min(k0 + EPOCH_SLOTS);
-        cyclops_par::par_for_each_mut(&mut lanes, 1, |lane| {
-            lane.recs.clear();
-            for k in epoch.clone() {
-                let rec = lane.session.step_slot(k);
-                lane.sums.absorb(&rec, sens);
-                lane.recs.push(rec);
-            }
+        cyclops_par::par_for_each_mut(&mut lanes, 1, |(lane, recs)| {
+            recs.clear();
+            recs.extend(epoch.clone().map(|k| lane.step(k)));
         });
         for (j, k) in epoch.enumerate() {
-            for (i, lane) in lanes.iter().enumerate() {
-                pass.observe(i, &lane.recs[j]);
+            for (i, (_, recs)) in lanes.iter().enumerate() {
+                pass.observe(i, &recs[j]);
             }
             pass.grant(k);
-            for (i, lane) in lanes.iter_mut().enumerate() {
-                pass.deliver(i, &lane.recs[j], lane.session.telemetry_mut());
+            for (i, (lane, recs)) in lanes.iter_mut().enumerate() {
+                pass.deliver(i, &recs[j], lane.session.telemetry_mut());
             }
         }
     }
@@ -1315,16 +1285,15 @@ mod tests {
     ) -> Result<FleetSummary, EngineConfigError> {
         let (mut lanes, mut pass, n_slots) = scheduled_setup(units, fleet, sched)?;
         for k in 0..n_slots {
-            for (i, lane) in lanes.iter_mut().enumerate() {
-                let rec = lane.session.step_slot(k);
-                lane.sums.absorb(&rec, pass.sens);
+            for (i, (lane, recs)) in lanes.iter_mut().enumerate() {
+                let rec = lane.step(k);
                 pass.observe(i, &rec);
-                lane.recs.clear();
-                lane.recs.push(rec);
+                recs.clear();
+                recs.push(rec);
             }
             pass.grant(k);
-            for (i, lane) in lanes.iter_mut().enumerate() {
-                pass.deliver(i, &lane.recs[0], lane.session.telemetry_mut());
+            for (i, (lane, recs)) in lanes.iter_mut().enumerate() {
+                pass.deliver(i, &recs[0], lane.session.telemetry_mut());
             }
         }
         Ok(pass.finish(lanes))
@@ -1397,8 +1366,8 @@ mod tests {
         );
     }
 
-    /// A struct-literal configuration skips the builder; every
-    /// `Result`-returning driver still rejects it with a typed error.
+    /// An invalid struct-literal configuration fails `validate`, and every
+    /// `Result`-returning driver rejects it with the same typed error.
     #[test]
     fn invalid_fleets_are_typed_errors() {
         let units = units();
@@ -1407,6 +1376,10 @@ mod tests {
             units: units.clone(),
             tracker: TrackerConfig::default(),
         }];
+        let duration = |duration_s: f64| FleetConfig {
+            duration_s,
+            ..FleetConfig::default()
+        };
         for (what, fleet) in [
             (
                 "zero sessions",
@@ -1415,13 +1388,10 @@ mod tests {
                     ..FleetConfig::default()
                 },
             ),
-            (
-                "NaN duration",
-                FleetConfig {
-                    duration_s: f64::NAN,
-                    ..FleetConfig::default()
-                },
-            ),
+            ("zero duration", duration(0.0)),
+            ("sub-slot duration", duration(1e-9)),
+            ("negative duration", duration(-1.0)),
+            ("NaN duration", duration(f64::NAN)),
             (
                 "negative debounce",
                 FleetConfig {

@@ -9,6 +9,7 @@ use crate::engine::{
     DarkDebounce, EngineConfig, EngineSlot, FirstReport, LinkSession, SingleTx, TxInstallation,
 };
 use crate::handover::Occluder;
+use crate::telemetry::{Telemetry, TelemetryEvent, TelemetrySink};
 use cyclops_core::deployment::{Deployment, DeploymentConfig};
 use cyclops_core::kspace::{train_both, BoardConfig};
 use cyclops_core::mapping::{self, rough_initial_guess};
@@ -17,6 +18,7 @@ use cyclops_geom::pose::Pose;
 use cyclops_geom::vec3::{v3, Vec3};
 use cyclops_vrh::motion::{LinearRail, Motion, StaticPose};
 use cyclops_vrh::tracking::TrackerConfig;
+use std::sync::{Arc, Mutex};
 
 /// Full commissioning: train stages 1+2, leave the link aligned.
 fn commissioned(seed: u64) -> (Deployment, TpController) {
@@ -355,11 +357,26 @@ fn scheduled_flaps_force_counted_outages() {
         })),
         ..Default::default()
     };
+    /// Collects the `outage_s` of every `SfpUp` event.
+    #[derive(Debug)]
+    struct SfpUps(Arc<Mutex<Vec<f64>>>);
+    impl TelemetrySink for SfpUps {
+        fn record(&mut self, ev: &TelemetryEvent) {
+            if let TelemetryEvent::SfpUp { outage_s, .. } = ev {
+                self.0.lock().unwrap().push(*outage_s);
+            }
+        }
+    }
+    let ups = Arc::new(Mutex::new(Vec::new()));
     let mut sim = single_tx(dep, ctl, StaticPose(park()), cfg);
+    *sim.telemetry_mut() = Telemetry::with_sink(Box::new(SfpUps(ups.clone())));
     let recs = sim.run(5.0);
     let st = sim.session_stats();
     // One flap at t=1: down for 0.1 s forced + ~2.5 s re-lock.
     assert_eq!(st.n_outages, 1, "{st:?}");
+    // The outage ended, and `SfpUp` reports it exactly as the stats count
+    // it.
+    assert_eq!(*ups.lock().unwrap(), [st.longest_outage_s]);
     assert!(
         (2.0..3.5).contains(&st.longest_outage_s),
         "outage {} s should be flap + re-lock",

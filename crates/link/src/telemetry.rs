@@ -16,10 +16,12 @@
 //! * [`Histogram`] / [`TelemetryCounters`] / [`SessionTelemetry`] —
 //!   fixed-bucket aggregation per session, merged across sessions by
 //!   `run_fleet` into a fleet-level rollup;
-//! * [`VirtualClock`] / [`ScopedTimer`] — scoped timing on *simulation*
-//!   time. Sim paths never read the wall clock (`std::time::Instant` is
-//!   confined to `crates/bench` by a CI grep lint), so attaching telemetry
-//!   cannot perturb the engine's float streams.
+//! * simulation time — every event is stamped with the engine's own slot
+//!   time, and durations (an `SfpUp`'s `outage_s`) are the engine's own
+//!   accumulators. Sim paths never read the wall clock
+//!   (`std::time::Instant` is confined to `crates/bench` by a CI grep
+//!   lint), so attaching telemetry cannot perturb the engine's float
+//!   streams.
 //!
 //! **Determinism contract.** Telemetry is pure observation: no random draw,
 //! no float computed by the engine, and no control-flow decision depends on
@@ -984,49 +986,6 @@ impl TelemetrySink for SessionTelemetry {
 }
 
 // ---------------------------------------------------------------------------
-// Virtual clock (sim-time scoped timing)
-// ---------------------------------------------------------------------------
-
-/// A monotonic clock on *simulation* time. The engine advances it once per
-/// slot; durations measured against it are deterministic and identical with
-/// telemetry on or off. Sim paths must use this (never
-/// `std::time::Instant`, which is confined to `crates/bench` by a CI lint).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct VirtualClock {
-    now_s: f64,
-}
-
-impl VirtualClock {
-    /// Advances the clock.
-    pub fn advance(&mut self, dt_s: f64) {
-        self.now_s += dt_s;
-    }
-
-    /// Current simulation time (s).
-    pub fn now_s(&self) -> f64 {
-        self.now_s
-    }
-
-    /// Starts a scoped timer at the current time.
-    pub fn start(&self) -> ScopedTimer {
-        ScopedTimer { t0_s: self.now_s }
-    }
-}
-
-/// A timer scoped to a [`VirtualClock`] — measures elapsed simulation time.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScopedTimer {
-    t0_s: f64,
-}
-
-impl ScopedTimer {
-    /// Simulation time elapsed since [`VirtualClock::start`].
-    pub fn elapsed(&self, clock: &VirtualClock) -> f64 {
-        clock.now_s - self.t0_s
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Session attachment
 // ---------------------------------------------------------------------------
 
@@ -1347,18 +1306,6 @@ mod tests {
         assert_eq!(b.events.slots, 2);
         assert_eq!(b.events.tp_dead_reckoned, 2);
         assert_eq!(b.power_dbm.samples(), 2);
-    }
-
-    #[test]
-    fn virtual_clock_scoped_timer_measures_sim_time() {
-        let mut clock = VirtualClock::default();
-        clock.advance(1e-3);
-        let timer = clock.start();
-        for _ in 0..250 {
-            clock.advance(1e-3);
-        }
-        assert!((timer.elapsed(&clock) - 0.25).abs() < 1e-12);
-        assert!((clock.now_s() - 0.251).abs() < 1e-12);
     }
 
     #[test]

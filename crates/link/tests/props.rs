@@ -2,9 +2,7 @@
 
 use cyclops_geom::vec3::v3;
 use cyclops_link::channel::FsoChannel;
-use cyclops_link::crc::crc32;
 use cyclops_link::engine::{EngineSlot, MarginSelector};
-use cyclops_link::framing::Frame;
 use cyclops_link::handover::{HandoverSystem, TxUnit};
 use cyclops_link::iperf::windows_50ms;
 use cyclops_link::sfp_state::SfpLinkState;
@@ -55,28 +53,6 @@ proptest! {
     fn bigger_frames_survive_less(p in -30.0..-24.0f64, n1 in 100u64..5_000, n2 in 5_000u64..50_000) {
         let ch = FsoChannel::new(-25.0, 7.0);
         prop_assert!(ch.frame_success_prob(p, n2) <= ch.frame_success_prob(p, n1) + 1e-12);
-    }
-
-    /// Framing round-trips arbitrary payloads; CRC flags arbitrary flips.
-    #[test]
-    fn framing_roundtrip_and_corruption(seq in any::<u64>(),
-                                        payload in prop::collection::vec(any::<u8>(), 0..512),
-                                        flip_byte in 0usize..512, flip_bit in 0u8..8) {
-        let f = Frame::new(seq, payload);
-        let enc = f.encode();
-        prop_assert_eq!(Frame::decode(&enc).unwrap(), f);
-        let pos = flip_byte % enc.len();
-        let mut bad = enc.clone();
-        bad[pos] ^= 1 << flip_bit;
-        prop_assert!(Frame::decode(&bad).is_err(), "flip at {pos} undetected");
-    }
-
-    /// CRC distributes: distinct single-byte payloads get distinct CRCs
-    /// (true for CRC-32 over 1-byte inputs).
-    #[test]
-    fn crc_distinguishes_bytes(a in any::<u8>(), b in any::<u8>()) {
-        prop_assume!(a != b);
-        prop_assert_ne!(crc32(&[a]), crc32(&[b]));
     }
 
     /// The SFP machine's total up-time never exceeds slots with signal.

@@ -45,11 +45,6 @@ impl DMat {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Mutable row `r`.
-    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
     /// Copies another matrix's contents into this one without reallocating.
     ///
     /// # Panics

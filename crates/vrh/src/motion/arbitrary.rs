@@ -81,16 +81,6 @@ impl ArbitraryMotion {
         }
     }
 
-    /// Current instantaneous linear speed (m/s).
-    pub fn linear_speed(&self) -> f64 {
-        self.vel.norm()
-    }
-
-    /// Current instantaneous angular speed (rad/s).
-    pub fn angular_speed(&self) -> f64 {
-        self.omega.norm()
-    }
-
     fn gauss(&mut self) -> f64 {
         crate::rand_util::gauss(&mut self.rng)
     }
